@@ -838,9 +838,12 @@ let serve_cmd =
         match schedule with
         | None -> Ok None
         | Some spec -> (
-          match Chaos.Schedule.parse spec with
-          | Ok s -> Ok (Some s)
-          | Error e -> Error (Printf.sprintf "bad --schedule: %s" e))
+          (* Validated against the shot system, as [boost chaos] does: a
+             pid or service the run does not have is a usage error. *)
+          Result.map_error (Printf.sprintf "bad --schedule: %s")
+            (let* s = Chaos.Schedule.parse spec in
+             let* () = Chaos.Schedule.validate (entry.Registry.build params) s in
+             Ok (Some s)))
       in
       let* kinds =
         match faults with

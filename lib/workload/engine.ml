@@ -651,4 +651,5 @@ let run cfg =
   st.report.Report.lin_events <- Linear_inc.events st.lin;
   st.report.Report.lin_max_window <- Linear_inc.max_window st.lin;
   st.report.Report.lin_max_frontier <- Linear_inc.max_frontier st.lin;
+  st.report.Report.lin_searched <- Linear_inc.searched st.lin;
   st.report

@@ -1,17 +1,33 @@
 module L = Model.Linearize
+module Value = Ioa.Value
 
 type verdict = Ok | Violation of string | Truncated of string
+
+(* A closed window, kept while the witness holds so that the search can
+   replay it if the witness later fails. [through] is the event count at its
+   close. *)
+type window = { evs : L.event list; size : int; through : int }
+
+type mode =
+  | Witness of Value.t list
+      (* The return-order witness holds; the object values it can end in,
+         deduplicated (several under nondeterministic δ or V0). *)
+  | Search of L.config list  (* The witness failed; the exact frontier. *)
 
 type t = {
   obj : Spec.Seq_type.t;
   max_nodes : int;
   soft_outstanding : int;
   hard_buffer : int;
-  mutable frontier : L.config list;
+  mutable mode : mode;
+  calls : (int, Value.t Queue.t) Hashtbl.t;
+      (* Witness mode: per-endpoint calls not yet returned, oldest first. *)
+  mutable kept : window list;  (* newest first; witness mode only *)
   mutable buffer : L.event list;  (* newest first *)
   mutable buffered : int;
   mutable outstanding : int;
   mutable windows : int;
+  mutable searched : int;
   mutable events : int;
   mutable max_window : int;
   mutable max_frontier : int;
@@ -24,11 +40,14 @@ let create ?(max_nodes = 200_000) ?(soft_outstanding = 4) ?(hard_buffer = 2048) 
     max_nodes;
     soft_outstanding;
     hard_buffer;
-    frontier = L.init_configs obj;
+    mode = Witness obj.Spec.Seq_type.initials;
+    calls = Hashtbl.create 16;
+    kept = [];
     buffer = [];
     buffered = 0;
     outstanding = 0;
     windows = 0;
+    searched = 0;
     events = 0;
     max_window = 0;
     max_frontier = List.length (L.init_configs obj);
@@ -37,6 +56,7 @@ let create ?(max_nodes = 200_000) ?(soft_outstanding = 4) ?(hard_buffer = 2048) 
 
 let verdict t = t.verdict
 let windows t = t.windows
+let searched t = t.searched
 let events t = t.events
 let max_window t = t.max_window
 let max_frontier t = t.max_frontier
@@ -52,40 +72,106 @@ let record t ev =
     | L.Return _ -> t.outstanding <- t.outstanding - 1)
   end
 
+(* One return-order step: the oldest unreturned call of [endpoint] takes
+   effect now, from every witness value, keeping the outcomes whose response
+   matches. *)
+let linearize_return t values endpoint resp =
+  match Option.bind (Hashtbl.find_opt t.calls endpoint) Queue.take_opt with
+  | None -> []
+  | Some op ->
+    List.fold_left
+      (fun acc v ->
+        List.fold_left
+          (fun acc (r, v') ->
+            if Value.equal r resp && not (List.exists (Value.equal v') acc) then v' :: acc
+            else acc)
+          acc (t.obj.Spec.Seq_type.delta op v))
+      [] values
+
+(* The witness values after the window; [] when the witness fails in it. *)
+let witness_window t values evs =
+  List.fold_left
+    (fun values ev ->
+      match values, ev with
+      | [], _ -> []
+      | _, L.Call { endpoint; op } ->
+        (match Hashtbl.find_opt t.calls endpoint with
+        | Some q -> Queue.push op q
+        | None ->
+          let q = Queue.create () in
+          Queue.push op q;
+          Hashtbl.replace t.calls endpoint q);
+        values
+      | _, L.Return { endpoint; resp } -> linearize_return t values endpoint resp)
+    values evs
+
+(* The frontier search over window [index]; the messages are the ones the
+   search alone would give at this window. *)
+let advance t frontier index w =
+  match L.advance ~max_nodes:t.max_nodes t.obj frontier w.evs with
+  | None ->
+    Error
+      (Truncated
+         (Printf.sprintf "window %d (%d events) exhausted the %d-node search budget" index
+            w.size t.max_nodes))
+  | Some [] ->
+    Error
+      (Violation
+         (Printf.sprintf "window %d (%d events, through event %d) admits no linearization"
+            index w.size w.through))
+  | Some frontier ->
+    t.max_frontier <- max t.max_frontier (List.length frontier);
+    Ok frontier
+
+(* Decide the current window by search, from the frontier before it. *)
+let search t frontier w =
+  t.searched <- t.searched + 1;
+  match advance t frontier t.windows w with
+  | Ok frontier -> t.mode <- Search frontier
+  | Error v -> t.verdict <- v
+
+(* The witness failed at the current window: rebuild the exact frontier by
+   replaying the search over the kept windows, then search this one. The
+   prefix has a valid linearization, so the replay cannot report a
+   violation; it can only exhaust its node budget, as the search alone would
+   have done at that same window. *)
+let fall_back t w =
+  let kept = List.rev t.kept in
+  t.kept <- [];
+  Hashtbl.reset t.calls;
+  let rec replay frontier index = function
+    | [] -> search t frontier w
+    | k :: rest -> (
+      match advance t frontier index k with
+      | Ok frontier -> replay frontier (index + 1) rest
+      | Error v -> t.verdict <- v)
+  in
+  replay (L.init_configs t.obj) 1 kept
+
 let flush t =
-  (match t.verdict with
-  | Violation _ | Truncated _ -> ()
-  | Ok ->
-    if t.buffered > 0 then begin
-      let window = List.rev t.buffer in
-      t.buffer <- [];
-      let size = t.buffered in
-      t.buffered <- 0;
-      t.windows <- t.windows + 1;
-      t.max_window <- max t.max_window size;
-      match L.advance ~max_nodes:t.max_nodes t.obj t.frontier window with
-      | None ->
-        t.verdict <-
-          Truncated
-            (Printf.sprintf "window %d (%d events) exhausted the %d-node search budget"
-               t.windows size t.max_nodes)
-      | Some [] ->
-        t.verdict <-
-          Violation
-            (Printf.sprintf
-               "window %d (%d events, through event %d) admits no linearization" t.windows
-               size t.events)
-      | Some frontier ->
-        t.frontier <- frontier;
-        t.max_frontier <- max t.max_frontier (List.length frontier)
-    end);
+  if t.verdict = Ok && t.buffered > 0 then begin
+    let w = { evs = List.rev t.buffer; size = t.buffered; through = t.events } in
+    t.buffer <- [];
+    t.buffered <- 0;
+    t.windows <- t.windows + 1;
+    t.max_window <- max t.max_window w.size;
+    match t.mode with
+    | Witness values -> (
+      match witness_window t values w.evs with
+      | [] -> fall_back t w
+      | values ->
+        t.mode <- Witness values;
+        t.kept <- w :: t.kept)
+    | Search frontier -> search t frontier w
+  end;
   t.verdict
 
 (* The flush policy: the frontier stays small when few operations straddle
    the window boundary (each called-but-unreturned op multiplies the
    reachable configurations), so defer flushing until the history is nearly
    quiescent — but never let the buffer grow past [hard_buffer], accepting a
-   possible truncation instead of unbounded memory. *)
+   possible truncation instead of unbounded memory. The witness needs no
+   windows, but a fallback search replays these same cuts. *)
 let tick t =
   if
     t.verdict = Ok && t.buffered > 0

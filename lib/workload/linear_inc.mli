@@ -1,16 +1,29 @@
-(** Incremental (windowed) linearizability checking for long histories.
+(** Incremental (windowed) linearizability checking for long histories,
+    witness first.
 
-    The full {!Model.Linearize.check} oracle re-searches the entire history;
-    at workload scale (millions of events) that is unusable. This monitor
-    consumes the history one event at a time and checks it window by window
-    through {!Model.Linearize.advance}: the state carried between windows is
-    the {e frontier} — every search configuration (pending ops, linearized
-    ops awaiting their returns, object value) some linearization of the
-    events so far can be in. The window invariant: a history is linearizable
-    iff no flush ever empties the frontier, for {e any} partition into
-    windows — the boundary is a memo boundary, not an approximation — so the
-    incremental verdict is pinned equal to the oracle (modulo an explicit
-    node-budget truncation, never a silent pass). The engine flushes at
+    The monitor consumes the history one event at a time and decides it
+    window by window. It first checks one candidate linearization, the
+    {e return-order witness}: at each [Return], the returning endpoint's
+    oldest unreturned call takes effect through δ. Calls that never return
+    are left out. The witness carries the set of object values it can end in
+    (one per initial value and per matching δ outcome, deduplicated), so it
+    also covers nondeterministic types. Each op then takes effect at its own
+    return, inside its call/return interval, and one endpoint's ops keep
+    their FIFO order: a surviving witness is a valid linearization, so every
+    [Ok] it gives is sound, in time linear in the events. The engine
+    delivers responses in commit order, so on its histories the return order
+    is the commit-log order and the witness holds.
+
+    Only when the witness fails does the monitor search. It replays
+    {!Model.Linearize.advance} from {!Model.Linearize.init_configs} over the
+    windows closed so far, which it keeps while the witness holds, and stays
+    in frontier mode from then on. The frontier is every search
+    configuration some linearization of the events so far can be in; a
+    history is linearizable iff no window empties it, for {e any} partition
+    into windows. The replay makes [Violation] and [Truncated] verdicts,
+    messages included, those of the search alone. The one difference: a
+    history whose witness never fails is [Ok] even where the search alone
+    would have exhausted its node budget. The engine flushes at
     near-quiescent ticks, where few ops straddle the boundary and the
     frontier stays small. *)
 
@@ -44,9 +57,18 @@ val finish : t -> verdict
 val verdict : t -> verdict
 
 val windows : t -> int
+
+val searched : t -> int
+(** Windows the frontier search decided: the window where the witness failed
+    and every later one (the replayed earlier windows are not counted). 0
+    when the witness held throughout. *)
+
 val events : t -> int
 val max_window : t -> int
 val max_frontier : t -> int
+(** Largest frontier the search reached; the number of initial values while
+    the search has never run. *)
+
 val outstanding : t -> int
 (** Calls without a matching return so far — the concurrency the next flush
     will carry across the boundary. *)

@@ -57,6 +57,7 @@ type t = {
   mutable lin_events : int;
   mutable lin_max_window : int;
   mutable lin_max_frontier : int;
+  mutable lin_searched : int;
   mutable oracle_pinned : bool option;  (* Some b: the full-oracle pin ran *)
 }
 
@@ -99,6 +100,7 @@ let create ~proto ~n ~f ~obj_name ~clients ~ops ~seed =
     lin_events = 0;
     lin_max_window = 0;
     lin_max_frontier = 0;
+    lin_searched = 0;
     oracle_pinned = None;
   }
 
@@ -176,8 +178,9 @@ let render t =
   Format.fprintf ppf "latency (ticks): p50 %d p95 %d p99 %d max %d@." p50 p95 p99 lmax;
   (match t.lin with
   | Linear_inc.Ok ->
-    Format.fprintf ppf "lin-monitor: ok — %d windows, %d events, max window %d, max frontier %d@."
-      t.lin_windows t.lin_events t.lin_max_window t.lin_max_frontier
+    Format.fprintf ppf
+      "lin-monitor: ok — %d windows, %d events, max window %d, max frontier %d, searched %d@."
+      t.lin_windows t.lin_events t.lin_max_window t.lin_max_frontier t.lin_searched
   | Linear_inc.Violation r -> Format.fprintf ppf "lin-monitor: VIOLATION — %s@." r
   | Linear_inc.Truncated r -> Format.fprintf ppf "lin-monitor: truncated — %s@." r);
   (match t.oracle_pinned with

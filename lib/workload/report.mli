@@ -56,6 +56,7 @@ type t = {
   mutable lin_events : int;
   mutable lin_max_window : int;
   mutable lin_max_frontier : int;
+  mutable lin_searched : int;  (** Windows the frontier search decided. *)
   mutable oracle_pinned : bool option;
 }
 

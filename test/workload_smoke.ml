@@ -1,10 +1,10 @@
 (* @workload-smoke: a bounded multi-shot serve run with mixed mid-traffic
    faults on a resilient protocol (must complete every op, recover the
    crashed replica, apply retried ops exactly once, and keep the incremental
-   linearizability monitor green), plus tob under its Thm 9 drop fault (must
-   abort with a shot violation and a minimized witness). Wired into the
-   default `dune runtest` so tier-1 always exercises the workload engine end
-   to end. *)
+   linearizability monitor green on its return-order witness alone), plus
+   tob under its Thm 9 drop fault (must abort with a shot violation and a
+   minimized witness). Wired into the default `dune runtest` so tier-1
+   always exercises the workload engine end to end. *)
 
 let fail fmt = Format.kasprintf (fun s -> Format.printf "workload-smoke FAILED: %s@." s; exit 1) fmt
 
@@ -42,6 +42,9 @@ let resilient () =
     fail "%d duplicate applications" r.Workload.Report.duplicate_applications;
   if r.Workload.Report.lin <> Workload.Linear_inc.Ok then fail "lin monitor not ok";
   if r.Workload.Report.oracle_pinned <> Some true then fail "oracle pin disagrees";
+  if r.Workload.Report.lin_searched <> 0 then
+    fail "%d windows needed the search; the return-order witness failed"
+      r.Workload.Report.lin_searched;
   (* Seeded exact replay: the rendered report is byte-identical. *)
   let r2 = Workload.Engine.run cfg in
   if not (String.equal (Workload.Report.render r) (Workload.Report.render r2)) then

@@ -59,7 +59,7 @@ let bench_canonical_ops =
 let bench_bivalent_init =
   let sys = Protocols.Direct.system ~n:2 ~f:0 in
   Test.make ~name:"E2/bivalent-init"
-    (Staged.stage (fun () -> ignore (Engine.Initialization.find_bivalent sys)))
+    (Staged.stage (fun () -> ignore Engine.Initialization.(find_bivalent (staircase sys))))
 
 (* E3: G(C) exploration + hook search (Fig. 3). *)
 let bench_graph_explore =
@@ -70,20 +70,20 @@ let bench_graph_explore =
 
 let bench_hook_fig3 =
   let sys = Protocols.Direct.system ~n:3 ~f:0 in
-  let entry = Option.get (Engine.Initialization.find_bivalent sys) in
+  let entry = Option.get Engine.Initialization.(find_bivalent (staircase sys)) in
   let a = entry.Engine.Initialization.analysis in
   Test.make ~name:"E3/hook-fig3" (Staged.stage (fun () -> ignore (Engine.Hook.find a)))
 
 let bench_hook_brute =
   let sys = Protocols.Direct.system ~n:3 ~f:0 in
-  let entry = Option.get (Engine.Initialization.find_bivalent sys) in
+  let entry = Option.get Engine.Initialization.(find_bivalent (staircase sys)) in
   let a = entry.Engine.Initialization.analysis in
   Test.make ~name:"E3/hook-brute" (Staged.stage (fun () -> ignore (Engine.Hook.find_brute a)))
 
 (* E4: commutation sweep over the explored graph. *)
 let bench_commute =
   let sys = Protocols.Direct.system ~n:2 ~f:0 in
-  let entry = Option.get (Engine.Initialization.find_bivalent sys) in
+  let entry = Option.get Engine.Initialization.(find_bivalent (staircase sys)) in
   let a = entry.Engine.Initialization.analysis in
   Test.make ~name:"E4/commute-sweep"
     (Staged.stage (fun () -> ignore (Engine.Commute.check_disjoint a)))

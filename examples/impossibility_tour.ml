@@ -18,7 +18,7 @@ let () =
   List.iter (fun e -> Format.printf "  %a@." Engine.Initialization.pp_entry e) entries;
 
   let entry =
-    match Engine.Initialization.find_bivalent sys with
+    match Engine.Initialization.find_bivalent entries with
     | Some e -> e
     | None -> failwith "no bivalent initialization"
   in

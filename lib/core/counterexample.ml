@@ -252,12 +252,7 @@ let refute ?(max_states = 200_000) ?(run_bound = 50_000) ~failures (sys : Model.
           outcome = Refuted (Non_termination { exec; failed = []; proven });
         }
       | None -> (
-        match
-          List.find_opt
-            (fun (e : Initialization.entry) ->
-              Valence.equal_verdict e.Initialization.verdict Valence.Bivalent)
-            entries
-        with
+        match Initialization.find_bivalent entries with
         | Some entry -> (
           (* 3. Hook phase. *)
           let analysis = entry.Initialization.analysis in
@@ -356,7 +351,7 @@ let refute ?(max_states = 200_000) ?(run_bound = 50_000) ~failures (sys : Model.
               | _ -> { report with outcome = Out_of_budget "hook edges not replayable" })))
         | None -> (
           (* 4. No bivalent initialization: Lemma 4 flip argument. *)
-          match Initialization.staircase_flip ~max_states sys with
+          match Initialization.staircase_flip entries with
           | None ->
             {
               base_report with

@@ -9,7 +9,19 @@
     the analysis exact.
 
     Exploration is bounded by [max_states]; [complete g = false] reports that
-    the bound was hit (no silent truncation). *)
+    the bound was hit (no silent truncation).
+
+    {b Vertex keys.} While exploring, each state is keyed by a small int
+    array of length n + |services| + 3: an interned id for each process
+    value, each service record (value plus invocation/response buffers), the
+    failed set, the decisions array and the inputs array. Ids come from
+    structural interning, so equal keys mean [Model.State.equal] states and
+    vice versa. A successor's key starts as a copy of its parent's; a
+    component physically equal to the parent's keeps the parent's id, so one
+    transition hashes only the one or two components it replaced, and each
+    edge costs one probe of the visited table (plus an insertion on a miss).
+    The interning and key tables are dropped when [explore] returns: a
+    graph keeps only its states and successor lists. *)
 
 type t
 
@@ -27,7 +39,9 @@ val state : t -> int -> Model.State.t
 val succs : t -> int -> (Model.Task.t * int) list
 
 val index_of : t -> Model.State.t -> int option
-(** Vertex index of a state, if explored. O(1) expected. *)
+(** Vertex index of a state, if explored. The first call on a graph builds
+    a table of all its states (one full-state hash per vertex); later calls
+    are O(1) expected. *)
 
 val successor : t -> int -> Model.Task.t -> int option
 (** The unique [e]-successor of a vertex, if [e] is applicable. *)

@@ -155,10 +155,11 @@ let find ?(max_path = 10_000) analysis =
     let cur = ref (Graph.root g) in
     let path = ref [] in
     (* rev path *)
+    let path_len = ref 0 in
     let result = ref None in
     (try
        while !result = None do
-         if List.length !path > max_path then begin
+         if !path_len > max_path then begin
            result := Some (Unbounded (List.rev !path));
            raise Exit
          end;
@@ -185,6 +186,7 @@ let find ?(max_path = 10_000) analysis =
          with
          | Some (x, to_x) ->
            path := e :: List.rev_append to_x !path;
+           path_len := !path_len + 1 + List.length to_x;
            cur := Option.get (Graph.successor g x e)
          | None -> (
            match locate_hook analysis ~cur:!cur ~e ~base_path:(List.rev !path) with

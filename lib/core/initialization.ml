@@ -26,13 +26,10 @@ let all_binary ?max_states sys =
     let inputs = List.init n (fun p -> Value.int ((bits lsr p) land 1)) in
     entry_of ?max_states sys inputs)
 
-let find_bivalent ?max_states sys =
-  List.find_opt
-    (fun e -> Valence.equal_verdict e.verdict Valence.Bivalent)
-    (staircase ?max_states sys)
+let find_bivalent entries =
+  List.find_opt (fun e -> Valence.equal_verdict e.verdict Valence.Bivalent) entries
 
-let staircase_flip ?max_states sys =
-  let entries = staircase ?max_states sys in
+let staircase_flip entries =
   let rec go = function
     | a :: (b :: _ as rest) ->
       if Valence.equal_verdict a.verdict Valence.Bivalent then None

@@ -21,12 +21,17 @@ val staircase : ?max_states:int -> Model.System.t -> entry list
 val all_binary : ?max_states:int -> Model.System.t -> entry list
 (** All 2^n binary initializations (for small n; raises if n > 16). *)
 
-val find_bivalent : ?max_states:int -> Model.System.t -> entry option
-(** The first bivalent entry of the staircase, as Lemma 4 produces it. *)
+val find_bivalent : entry list -> entry option
+(** The first bivalent entry, as Lemma 4 produces it when given the
+    {!staircase}. *)
 
-val staircase_flip : ?max_states:int -> Model.System.t -> (entry * entry) option
-(** When no staircase entry is bivalent: the consecutive pair
+val staircase_flip : entry list -> (entry * entry) option
+(** When no entry of the {!staircase} is bivalent: the consecutive pair
     (α_i 0-valent, α_{i+1} 1-valent or bivalent) that the Lemma 4 argument
-    turns into a contradiction. [None] if a bivalent entry exists first. *)
+    turns into a contradiction. [None] if a bivalent entry comes first.
+
+    Both take the entries a caller already holds, so that [staircase],
+    [all_binary] and the entries they return are the only place a G(C) is
+    built. *)
 
 val pp_entry : Format.formatter -> entry -> unit

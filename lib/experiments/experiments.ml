@@ -128,7 +128,7 @@ let e2_bivalent_initialization () =
             Format.asprintf "%a" Engine.Valence.pp_verdict e.Engine.Initialization.verdict)
           entries
       in
-      let has_bivalent = Option.is_some (Engine.Initialization.find_bivalent sys) in
+      let has_bivalent = Option.is_some (Engine.Initialization.find_bivalent entries) in
       row "E2"
         (Printf.sprintf "staircase direct n=%d f=%d" n f)
         "some α_i bivalent (Lemma 4)"
@@ -141,7 +141,7 @@ let e2_bivalent_initialization () =
 let e3_hook_search () =
   List.map
     (fun (name, sys) ->
-      match Engine.Initialization.find_bivalent sys with
+      match Engine.Initialization.(find_bivalent (staircase sys)) with
       | None -> row "E3" name "hook found" "no bivalent initialization" false
       | Some entry -> (
         let a = entry.Engine.Initialization.analysis in
@@ -169,7 +169,7 @@ let e3_hook_search () =
 
 let e4_similarity_commutation () =
   let sys = Protocols.Direct.system ~n:2 ~f:0 in
-  match Engine.Initialization.find_bivalent sys with
+  match Engine.Initialization.(find_bivalent (staircase sys)) with
   | None -> [ row "E4" "direct n=2 f=0" "bivalent init" "missing" false ]
   | Some entry -> (
     let a = entry.Engine.Initialization.analysis in

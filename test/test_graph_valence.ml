@@ -88,8 +88,8 @@ let test_staircase_register_wait () =
     [ E.Valence.Zero_valent; E.Valence.Zero_valent; E.Valence.One_valent ]
     verdicts;
   Alcotest.(check bool) "no bivalent entry" true
-    (E.Initialization.find_bivalent sys = None);
-  match E.Initialization.staircase_flip sys with
+    (E.Initialization.find_bivalent entries = None);
+  match E.Initialization.staircase_flip entries with
   | Some (a, b) ->
     Alcotest.check verdict_testable "flip left" E.Valence.Zero_valent a.E.Initialization.verdict;
     Alcotest.check verdict_testable "flip right" E.Valence.One_valent b.E.Initialization.verdict
@@ -176,6 +176,134 @@ let test_verdict_of_state () =
   let other = Model.System.initialize sys (int_inputs [ 0; 0 ]) in
   Alcotest.(check bool) "foreign state" true (E.Valence.verdict_of_state a other = None)
 
+(* --- Differential: Graph.explore against a plain reference explorer ---
+
+   The reference is the straightforward breadth-first explorer, memoizing
+   whole states with [State.equal]/[State.hash]. [Graph.explore] keys
+   vertices by interned component ids instead; it must find the same
+   vertices, number them in the same order and give them the same edges. *)
+
+module StateTbl = Hashtbl.Make (struct
+  type t = Model.State.t
+
+  let equal = Model.State.equal
+  let hash = Model.State.hash
+end)
+
+let reference_explore ~max_states (sys : Model.System.t) start =
+  let index = StateTbl.create 1024 in
+  let states = ref [] and n_states = ref 0 and succs = ref [] in
+  let queue = Queue.create () in
+  let complete = ref true in
+  let add_state s =
+    match StateTbl.find_opt index s with
+    | Some i -> i
+    | None ->
+      let i = !n_states in
+      StateTbl.replace index s i;
+      states := s :: !states;
+      incr n_states;
+      Queue.add s queue;
+      i
+  in
+  ignore (add_state start);
+  let tasks = Array.to_list sys.Model.System.tasks in
+  while not (Queue.is_empty queue) do
+    let s = Queue.pop queue in
+    if !n_states > max_states then begin
+      complete := false;
+      succs := [] :: !succs
+    end
+    else
+      succs :=
+        List.filter_map
+          (fun e ->
+            match Model.System.transition sys s e with
+            | None -> None
+            | Some (_, s') -> Some (e, add_state s'))
+          tasks
+        :: !succs
+  done;
+  Array.of_list (List.rev !states), Array.of_list (List.rev !succs), !complete
+
+let check_same_graph ?(max_states = 200_000) what sys start =
+  let states, succs, complete = reference_explore ~max_states sys start in
+  let g = E.Graph.explore ~max_states sys start in
+  Alcotest.(check int) (what ^ ": size") (Array.length states) (E.Graph.size g);
+  Alcotest.(check bool) (what ^ ": complete") complete (E.Graph.complete g);
+  let same_edge (e, j) (e', j') = Model.Task.equal e e' && j = j' in
+  Array.iteri
+    (fun i s ->
+      if not (Model.State.equal s (E.Graph.state g i)) then
+        Alcotest.failf "%s: vertex %d differs" what i;
+      if not (List.equal same_edge succs.(i) (E.Graph.succs g i)) then
+        Alcotest.failf "%s: successors of vertex %d differ" what i;
+      if E.Graph.index_of g s <> Some i then Alcotest.failf "%s: index_of vertex %d" what i)
+    states
+
+let test_explore_differential_registry () =
+  List.iter
+    (fun (e : Protocols.Registry.entry) ->
+      let sys = e.Protocols.Registry.build Protocols.Registry.default_params in
+      let n = Model.System.n_processes sys in
+      for i = 0 to n do
+        let inputs = List.init n (fun p -> if p < i then 1 else 0) in
+        check_same_graph
+          (Printf.sprintf "%s staircase %d" e.Protocols.Registry.name i)
+          sys
+          (Model.System.initialize sys (int_inputs inputs))
+      done)
+    Protocols.Registry.all
+
+let test_explore_differential_truncated () =
+  let sys = Protocols.Direct.system ~n:3 ~f:0 in
+  let start = Model.System.initialize sys (int_inputs [ 1; 0; 0 ]) in
+  check_same_graph ~max_states:50 "direct n=3 bound 50" sys start;
+  Alcotest.(check bool) "truncated" false
+    (E.Graph.complete (E.Graph.explore ~max_states:50 sys start))
+
+(* Start states in which every key slot (procs, services, failed,
+   decisions, inputs) is non-trivial: a reachable state that has recorded a
+   decision, with a process that has not decided failed on top. The failed
+   process's dummy steps are self-loops. *)
+let decided_then_failed what sys =
+  let n = Model.System.n_processes sys in
+  let init = Model.System.initialize sys (int_inputs (List.init n (fun p -> p mod 2))) in
+  let g = E.Graph.explore sys init in
+  match E.Graph.find_state g (fun s -> Model.State.decided_pairs s <> []) with
+  | None -> Alcotest.failf "%s: no decided state" what
+  | Some v ->
+    let s = E.Graph.state g v in
+    let undecided =
+      List.find (fun i -> s.Model.State.decisions.(i) = None) (List.init n Fun.id)
+    in
+    snd (Model.System.apply_fail sys s undecided)
+
+(* Processes that decide their input and keep their local state, so that
+   states differ in the decisions slot alone. *)
+let stay_decider pid =
+  Model.Process.make ~pid ~start:Ioa.Value.unit
+    ~step:(fun s ->
+      if Ioa.Value.equal s Ioa.Value.unit then Model.Process.Internal s
+      else Model.Process.Decide { value = s; next = s })
+    ()
+
+let test_explore_differential_failed_decided () =
+  let direct = Protocols.Direct.system ~n:3 ~f:1 in
+  let tob = Protocols.Tob_direct.system ~n:3 ~f:0 in
+  let stay = Model.System.make ~processes:(List.init 3 stay_decider) ~services:[] in
+  let stay_start =
+    let s = Model.System.initialize stay (int_inputs [ 1; 0; 1 ]) in
+    snd (Model.System.apply_fail stay s 2)
+  in
+  List.iter
+    (fun (what, sys, start) -> check_same_graph what sys start)
+    [
+      "direct n=3 f=1", direct, decided_then_failed "direct" direct;
+      "tob n=3 f=0", tob, decided_then_failed "tob" tob;
+      "stay-decider n=3", stay, stay_start;
+    ]
+
 let suite =
   ( "graph-valence",
     [
@@ -192,4 +320,10 @@ let suite =
       Alcotest.test_case "valence with cycles" `Quick test_valence_cycles;
       Alcotest.test_case "anomaly detection" `Quick test_anomaly_detection;
       Alcotest.test_case "verdict of state" `Quick test_verdict_of_state;
+      Alcotest.test_case "explore = reference: registry staircases" `Quick
+        test_explore_differential_registry;
+      Alcotest.test_case "explore = reference: truncated" `Quick
+        test_explore_differential_truncated;
+      Alcotest.test_case "explore = reference: failed and decided start" `Quick
+        test_explore_differential_failed_decided;
     ] )

@@ -9,7 +9,7 @@ let analysis_of sys inputs =
   E.Valence.analyze (E.Graph.explore sys start)
 
 let bivalent_analysis sys =
-  match E.Initialization.find_bivalent sys with
+  match E.Initialization.(find_bivalent (staircase sys)) with
   | Some e -> e.E.Initialization.analysis
   | None -> Alcotest.fail "expected a bivalent initialization"
 

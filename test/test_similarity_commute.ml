@@ -68,7 +68,7 @@ let test_general_services_exempt () =
     [ 0; 1 ]
 
 let hook_end_states sys =
-  match E.Initialization.find_bivalent sys with
+  match E.Initialization.(find_bivalent (staircase sys)) with
   | None -> Alcotest.fail "no bivalent init"
   | Some entry -> (
     let a = entry.E.Initialization.analysis in
@@ -89,7 +89,7 @@ let test_hook_endpoints_k_similar_direct () =
 let test_commute_disjoint_no_violations () =
   List.iter
     (fun sys ->
-      match E.Initialization.find_bivalent sys with
+      match E.Initialization.(find_bivalent (staircase sys)) with
       | None -> Alcotest.fail "no bivalent init"
       | Some entry ->
         let violations = E.Commute.check_disjoint entry.E.Initialization.analysis in

@@ -201,7 +201,9 @@ let bench_chaos_direct =
   bench_chaos (Protocols.Direct.system ~n:2 ~f:1) "chaos/explore-direct"
 
 let bench_chaos_tob =
-  bench_chaos (Protocols.Tob_direct.system ~n:2 ~f:0) "chaos/explore-tob"
+  (* f=1, like chaos/explore-por-tob below, so that the pair times POR
+     against its own off-switch on one config. *)
+  bench_chaos (Protocols.Tob_direct.system ~n:2 ~f:1) "chaos/explore-tob"
 
 (* Parallel chaos explorer: the full enumeration space at twice the seed
    horizon and up to two crashes — the workload where the sequential
@@ -476,8 +478,9 @@ let bench_lint_all_warm =
     (Staged.stage (fun () ->
        lint_fleet ~cache:(Analysis.Cache.open_ ~dir:bench_cache_dir) ()))
 
-(* Same sweep as chaos/explore-tob, replayed from the verdict cache: the
-   warm run re-executes only the stored winning/minimized schedules. *)
+(* The single-crash tob sweep at f=0, where tob falls to its Thm 9 crash,
+   replayed from the verdict cache: the warm run re-executes only the
+   stored winning/minimized schedules. *)
 let tob_cached_sys = Protocols.Tob_direct.system ~n:2 ~f:0
 
 let tob_cached_config =

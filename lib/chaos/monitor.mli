@@ -72,7 +72,9 @@ val f_termination_degraded : t
 
 val linearizability : ?max_history:int -> ?degrade:bool -> unit -> t
 (** Every service retaining a sequential spec ({!Model.Service.t}[.seq])
-    has a linearizable history ({!Model.Linearize}). Histories longer than
+    has a linearizable history ({!Model.Linearize}): the return-order
+    {!Model.Linearize.witness} first, the exhaustive
+    {!Model.Linearize.check} only when it fails. Histories longer than
     [max_history] (default 240 events) yield {!Truncated} with category
     [Monitor_budget]; runs with buffer-mutating network faults
     (drop/dup/delay) yield {!Truncated} with category [Adversary], their

@@ -26,13 +26,6 @@ let pp_stop ppf = function
   | Pruned ->
     Format.fprintf ppf "pruned (configuration already explored: verdict inherited)"
 
-module Tbl = Hashtbl.Make (struct
-  type t = int * Model.State.t
-
-  let equal (c1, s1) (c2, s2) = c1 = c2 && Model.State.equal s1 s2
-  let hash (c, s) = (c * 31) lxor Model.State.hash s
-end)
-
 let default_inputs sys =
   List.init (Model.System.n_processes sys) (fun i -> Ioa.Value.int (i mod 2))
 
@@ -126,7 +119,7 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
     | Seeded seed -> Some (Random.State.make [| seed; 0x1A7E |])
   in
   let cursor = ref 0 in
-  let seen = Tbl.create 256 in
+  let seen = Model.Lasso.create 256 in
   let truncs = ref [] in
   let vacuous = ref 0 in
   let finish exec steps stop =
@@ -178,12 +171,10 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
       let lasso =
         (* (cursor, state) repetition proves a cycle only once the schedule
            is memoryless and the task order is deterministic. *)
-        if active then begin
-          let key = !cursor mod n_tasks, Model.Exec.last_state exec in
-          let prior = Tbl.find_opt seen key in
-          if prior = None then Tbl.replace seen key step;
-          Option.map (fun at -> step - at) prior
-        end
+        if active then
+          Model.Lasso.visit seen ~cursor:(!cursor mod n_tasks) (Model.Exec.last_state exec)
+            ~step
+          |> Option.map (fun at -> step - at)
         else None
       in
       match lasso with

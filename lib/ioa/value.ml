@@ -41,18 +41,19 @@ and compare_lists xs ys =
 let equal a b = compare a b = 0
 
 (* FNV-style fold over the whole structure: [Hashtbl.hash] only inspects a
-   bounded prefix, which makes deep system states collide systematically. *)
-let hash v =
-  let combine h x = (h * 16777619) lxor x in
-  let rec go h = function
-    | Unit -> combine h 1
-    | Bool b -> combine (combine h 2) (if b then 1 else 0)
-    | Int i -> combine (combine h 3) i
-    | Str s -> combine (combine h 4) (Hashtbl.hash s)
-    | Pair (a, b) -> go (go (combine h 5) a) b
-    | List xs -> List.fold_left go (combine h 6) xs
-  in
-  go 2166136261 v land max_int
+   bounded prefix, which makes deep system states collide systematically.
+   The fold is top-level so that a call allocates no closure. *)
+let hash_combine h x = (h * 16777619) lxor x
+
+let rec hash_fold h = function
+  | Unit -> hash_combine h 1
+  | Bool b -> hash_combine (hash_combine h 2) (if b then 1 else 0)
+  | Int i -> hash_combine (hash_combine h 3) i
+  | Str s -> hash_combine (hash_combine h 4) (Hashtbl.hash s)
+  | Pair (a, b) -> hash_fold (hash_fold (hash_combine h 5) a) b
+  | List xs -> List.fold_left hash_fold (hash_combine h 6) xs
+
+let hash v = hash_fold 2166136261 v land max_int
 
 let rec pp ppf = function
   | Unit -> Format.pp_print_string ppf "()"

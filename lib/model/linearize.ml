@@ -149,3 +149,49 @@ let check (t : Spec.Seq_type.t) events =
   List.exists
     (fun v0 -> go 0 Value.map_empty Value.map_empty v0)
     t.Spec.Seq_type.initials
+
+(* --- return-order witness --- *)
+
+type witness = {
+  obj : Spec.Seq_type.t;
+  calls : (int, Value.t Queue.t) Hashtbl.t;
+      (* Per-endpoint calls not yet returned, oldest first. *)
+  mutable values : Value.t list;
+      (* The object values the witness can be in, deduplicated; [] once it
+         has failed. *)
+}
+
+let witness_start obj =
+  { obj; calls = Hashtbl.create 8; values = obj.Spec.Seq_type.initials }
+
+(* One return-order step: the oldest unreturned call of [endpoint] takes
+   effect now, from every witness value, keeping the outcomes whose response
+   matches. *)
+let witness_return w endpoint resp =
+  match Option.bind (Hashtbl.find_opt w.calls endpoint) Queue.take_opt with
+  | None -> []
+  | Some op ->
+    List.fold_left
+      (fun acc v ->
+        List.fold_left
+          (fun acc (r, v') ->
+            if Value.equal r resp && not (List.exists (Value.equal v') acc) then v' :: acc
+            else acc)
+          acc (w.obj.Spec.Seq_type.delta op v))
+      [] w.values
+
+let witness_event w = function
+  | Call { endpoint; op } -> (
+    match Hashtbl.find_opt w.calls endpoint with
+    | Some q -> Queue.push op q
+    | None ->
+      let q = Queue.create () in
+      Queue.push op q;
+      Hashtbl.replace w.calls endpoint q)
+  | Return { endpoint; resp } -> w.values <- witness_return w endpoint resp
+
+let witness_feed w events =
+  List.iter (fun ev -> if w.values <> [] then witness_event w ev) events;
+  w.values <> []
+
+let witness obj events = witness_feed (witness_start obj) events

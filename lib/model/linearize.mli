@@ -64,3 +64,31 @@ val advance :
     the history is non-linearizable. [None] means the [?max_nodes] search
     budget (default 200k nodes) was exhausted: the verdict is unknown and
     the caller must report a truncation, not a pass. *)
+
+(** {2 Return-order witness}
+
+    One candidate linearization, checked in time linear in the events: at
+    each [Return], the returning endpoint's oldest unreturned call takes
+    effect through δ, and calls that never return are left out. The witness
+    carries the set of object values it can be in (one per initial value
+    and per matching δ outcome, deduplicated), so it covers nondeterministic
+    types. Each op takes effect at its own return, inside its call/return
+    interval, and one endpoint's ops keep their FIFO order, so a witness
+    that survives the history is a valid linearization: [witness t h]
+    implies [check t h]. The converse fails (a consensus history whose
+    first returner was not the first performer is linearizable, but not in
+    return order), so a failed witness proves nothing and the caller falls
+    back to the search. *)
+
+type witness
+(** A witness in progress (mutable). *)
+
+val witness_start : Spec.Seq_type.t -> witness
+(** The witness before any event: no calls, the type's initial values. *)
+
+val witness_feed : witness -> event list -> bool
+(** Extend the witness by the events, in order; whether it still holds.
+    Once it fails it stays failed and further events are ignored. *)
+
+val witness : Spec.Seq_type.t -> event list -> bool
+(** [witness t h]: the return-order witness holds on the whole history. *)

@@ -69,23 +69,36 @@ let compare s1 s2 =
 
 let equal s1 s2 = compare s1 s2 = 0
 
+(* A 32-bit FNV-style mix, folded with plain loops and closed helpers so
+   that hashing a state allocates nothing. *)
+let hash_combine h x = (h * 16777619) lxor x
+
+let rec hash_buf h = function
+  | [] -> h
+  | v :: q -> hash_buf (hash_combine h (Value.hash v)) q
+
 let hash s =
-  let combine h x = (h * 16777619) lxor x in
   let h = ref 2166136261 in
-  Array.iter (fun v -> h := combine !h (Value.hash v)) s.procs;
-  Array.iter
-    (fun svc ->
-      h := combine !h (Value.hash svc.value);
-      Array.iter (fun q -> List.iter (fun v -> h := combine !h (Value.hash v)) q) svc.inv_bufs;
-      Array.iter (fun q -> List.iter (fun v -> h := combine !h (Value.hash v)) q) svc.resp_bufs)
-    s.svcs;
-  Spec.Iset.iter (fun i -> h := combine !h i) s.failed;
-  Array.iter
-    (fun d -> h := combine !h (match d with None -> 17 | Some v -> Value.hash v))
-    s.decisions;
-  Array.iter
-    (fun d -> h := combine !h (match d with None -> 23 | Some v -> Value.hash v))
-    s.inputs;
+  for i = 0 to Array.length s.procs - 1 do
+    h := hash_combine !h (Value.hash s.procs.(i))
+  done;
+  for k = 0 to Array.length s.svcs - 1 do
+    let svc = s.svcs.(k) in
+    h := hash_combine !h (Value.hash svc.value);
+    for p = 0 to Array.length svc.inv_bufs - 1 do
+      h := hash_buf !h svc.inv_bufs.(p)
+    done;
+    for p = 0 to Array.length svc.resp_bufs - 1 do
+      h := hash_buf !h svc.resp_bufs.(p)
+    done
+  done;
+  h := Spec.Iset.fold (fun i h -> hash_combine h i) s.failed !h;
+  for i = 0 to Array.length s.decisions - 1 do
+    h := hash_combine !h (match s.decisions.(i) with None -> 17 | Some v -> Value.hash v)
+  done;
+  for i = 0 to Array.length s.inputs - 1 do
+    h := hash_combine !h (match s.inputs.(i) with None -> 23 | Some v -> Value.hash v)
+  done;
   !h land max_int
 
 (* A 63-bit FNV-1a fold over the full structure. Unlike [hash] (the 32-bit

@@ -30,6 +30,8 @@ type t = {
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+(** A structural mix for hot hashtables: [equal s1 s2] implies
+    [hash s1 = hash s2]. It allocates nothing. *)
 
 val fingerprint : t -> int
 (** A cheap structural fingerprint of the configuration: a 63-bit FNV-1a

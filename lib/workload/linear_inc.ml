@@ -1,5 +1,4 @@
 module L = Model.Linearize
-module Value = Ioa.Value
 
 type verdict = Ok | Violation of string | Truncated of string
 
@@ -9,9 +8,7 @@ type verdict = Ok | Violation of string | Truncated of string
 type window = { evs : L.event list; size : int; through : int }
 
 type mode =
-  | Witness of Value.t list
-      (* The return-order witness holds; the object values it can end in,
-         deduplicated (several under nondeterministic δ or V0). *)
+  | Witness of L.witness  (* The return-order witness holds so far. *)
   | Search of L.config list  (* The witness failed; the exact frontier. *)
 
 type t = {
@@ -20,8 +17,6 @@ type t = {
   soft_outstanding : int;
   hard_buffer : int;
   mutable mode : mode;
-  calls : (int, Value.t Queue.t) Hashtbl.t;
-      (* Witness mode: per-endpoint calls not yet returned, oldest first. *)
   mutable kept : window list;  (* newest first; witness mode only *)
   mutable buffer : L.event list;  (* newest first *)
   mutable buffered : int;
@@ -40,8 +35,7 @@ let create ?(max_nodes = 200_000) ?(soft_outstanding = 4) ?(hard_buffer = 2048) 
     max_nodes;
     soft_outstanding;
     hard_buffer;
-    mode = Witness obj.Spec.Seq_type.initials;
-    calls = Hashtbl.create 16;
+    mode = Witness (L.witness_start obj);
     kept = [];
     buffer = [];
     buffered = 0;
@@ -71,39 +65,6 @@ let record t ev =
     | L.Call _ -> t.outstanding <- t.outstanding + 1
     | L.Return _ -> t.outstanding <- t.outstanding - 1)
   end
-
-(* One return-order step: the oldest unreturned call of [endpoint] takes
-   effect now, from every witness value, keeping the outcomes whose response
-   matches. *)
-let linearize_return t values endpoint resp =
-  match Option.bind (Hashtbl.find_opt t.calls endpoint) Queue.take_opt with
-  | None -> []
-  | Some op ->
-    List.fold_left
-      (fun acc v ->
-        List.fold_left
-          (fun acc (r, v') ->
-            if Value.equal r resp && not (List.exists (Value.equal v') acc) then v' :: acc
-            else acc)
-          acc (t.obj.Spec.Seq_type.delta op v))
-      [] values
-
-(* The witness values after the window; [] when the witness fails in it. *)
-let witness_window t values evs =
-  List.fold_left
-    (fun values ev ->
-      match values, ev with
-      | [], _ -> []
-      | _, L.Call { endpoint; op } ->
-        (match Hashtbl.find_opt t.calls endpoint with
-        | Some q -> Queue.push op q
-        | None ->
-          let q = Queue.create () in
-          Queue.push op q;
-          Hashtbl.replace t.calls endpoint q);
-        values
-      | _, L.Return { endpoint; resp } -> linearize_return t values endpoint resp)
-    values evs
 
 (* The frontier search over window [index]; the messages are the ones the
    search alone would give at this window. *)
@@ -138,7 +99,6 @@ let search t frontier w =
 let fall_back t w =
   let kept = List.rev t.kept in
   t.kept <- [];
-  Hashtbl.reset t.calls;
   let rec replay frontier index = function
     | [] -> search t frontier w
     | k :: rest -> (
@@ -156,12 +116,7 @@ let flush t =
     t.windows <- t.windows + 1;
     t.max_window <- max t.max_window w.size;
     match t.mode with
-    | Witness values -> (
-      match witness_window t values w.evs with
-      | [] -> fall_back t w
-      | values ->
-        t.mode <- Witness values;
-        t.kept <- w :: t.kept)
+    | Witness wit -> if L.witness_feed wit w.evs then t.kept <- w :: t.kept else fall_back t w
     | Search frontier -> search t frontier w
   end;
   t.verdict

@@ -3,16 +3,11 @@
 
     The monitor consumes the history one event at a time and decides it
     window by window. It first checks one candidate linearization, the
-    {e return-order witness}: at each [Return], the returning endpoint's
-    oldest unreturned call takes effect through δ. Calls that never return
-    are left out. The witness carries the set of object values it can end in
-    (one per initial value and per matching δ outcome, deduplicated), so it
-    also covers nondeterministic types. Each op then takes effect at its own
-    return, inside its call/return interval, and one endpoint's ops keep
-    their FIFO order: a surviving witness is a valid linearization, so every
-    [Ok] it gives is sound, in time linear in the events. The engine
-    delivers responses in commit order, so on its histories the return order
-    is the commit-log order and the witness holds.
+    return-order witness ({!Model.Linearize.witness}, shared with the chaos
+    linearizability monitor), in time linear in the events: a surviving
+    witness is a valid linearization, so every [Ok] it gives is sound. The
+    engine delivers responses in commit order, so on its histories the
+    return order is the commit-log order and the witness holds.
 
     Only when the witness fails does the monitor search. It replays
     {!Model.Linearize.advance} from {!Model.Linearize.init_configs} over the

@@ -34,6 +34,65 @@ let test_state_hash_equal () =
     (Model.State.hash s = Model.State.hash s');
   Alcotest.(check int) "compare zero" 0 (Model.State.compare s s')
 
+(* The closure fold [Model.State.hash] used to be, kept here as the
+   reference the allocation-free loops must reproduce bit for bit. *)
+let closure_hash (s : Model.State.t) =
+  let combine h x = (h * 16777619) lxor x in
+  let h = ref 2166136261 in
+  Array.iter (fun v -> h := combine !h (Value.hash v)) s.Model.State.procs;
+  Array.iter
+    (fun (svc : Model.State.svc) ->
+      h := combine !h (Value.hash svc.Model.State.value);
+      Array.iter (fun q -> List.iter (fun v -> h := combine !h (Value.hash v)) q)
+        svc.Model.State.inv_bufs;
+      Array.iter (fun q -> List.iter (fun v -> h := combine !h (Value.hash v)) q)
+        svc.Model.State.resp_bufs)
+    s.Model.State.svcs;
+  Spec.Iset.iter (fun i -> h := combine !h i) s.Model.State.failed;
+  Array.iter
+    (fun d -> h := combine !h (match d with None -> 17 | Some v -> Value.hash v))
+    s.Model.State.decisions;
+  Array.iter
+    (fun d -> h := combine !h (match d with None -> 23 | Some v -> Value.hash v))
+    s.Model.State.inputs;
+  !h land max_int
+
+let test_state_hash_reference () =
+  let entries = Engine.Initialization.staircase (Protocols.Direct.system ~n:3 ~f:1) in
+  let states = ref 0 in
+  List.iter
+    (fun (e : Engine.Initialization.entry) ->
+      Engine.Graph.iter_states (Engine.Valence.graph e.Engine.Initialization.analysis)
+        (fun _ s ->
+          incr states;
+          if Model.State.hash s <> closure_hash s then
+            Alcotest.failf "hash differs from the closure fold on@.%a" Model.State.pp s))
+    entries;
+  let size (e : Engine.Initialization.entry) =
+    Engine.Graph.size (Engine.Valence.graph e.Engine.Initialization.analysis)
+  in
+  Alcotest.(check int) "every state of the four G(C)s"
+    (List.fold_left (fun n e -> n + size e) 0 entries)
+    !states
+
+(* Lasso visits: a repeat of (cursor, state) up to [State.equal] returns the
+   first visit's step, the same state at another cursor does not, and a
+   physically repeated state takes the memoized hash. *)
+let test_lasso_visit () =
+  let sys = sys2 0 in
+  let s = Model.System.initial_state sys in
+  let s' = Model.State.with_proc s 0 (Value.str "x") in
+  let t = Model.Lasso.create 8 in
+  let visit c st step = Model.Lasso.visit t ~cursor:c st ~step in
+  Alcotest.(check (option int)) "first visit" None (visit 0 s 0);
+  Alcotest.(check (option int)) "same state, new cursor" None (visit 1 s 1);
+  Alcotest.(check (option int)) "physical repeat" (Some 0) (visit 0 s 2);
+  Alcotest.(check (option int)) "new state" None (visit 0 s' 3);
+  Alcotest.(check (option int)) "structural repeat" (Some 0)
+    (visit 0 (Model.System.initial_state sys) 4);
+  Alcotest.(check (option int)) "later pair" (Some 3)
+    (visit 0 (Model.State.with_proc s 0 (Value.str "x")) 5)
+
 let test_svc_buffers () =
   let svc = { Model.State.value = Value.unit; inv_bufs = [| [] |]; resp_bufs = [| [] |] } in
   let svc = Model.State.svc_push_inv svc ~pos:0 (Value.int 1) in
@@ -338,6 +397,9 @@ let suite =
     [
       Alcotest.test_case "state updates" `Quick test_state_updates;
       Alcotest.test_case "state hash/equal" `Quick test_state_hash_equal;
+      Alcotest.test_case "state hash ≡ closure fold on the direct n=3 staircase" `Quick
+        test_state_hash_reference;
+      Alcotest.test_case "lasso visits" `Quick test_lasso_visit;
       Alcotest.test_case "service buffers" `Quick test_svc_buffers;
       Alcotest.test_case "coalescing" `Quick test_svc_coalesce;
       Alcotest.test_case "service descriptor" `Quick test_service_descriptor;

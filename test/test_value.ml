@@ -142,6 +142,23 @@ let prop_compare_trans =
       | [ x; y; z ] -> Value.compare x y <= 0 && Value.compare y z <= 0 && Value.compare x z <= 0
       | _ -> false)
 
+(* [Value.hash] as a local closure fold, the form it had before its fold
+   moved to the top level: the values must not move. *)
+let closure_hash v =
+  let combine h x = (h * 16777619) lxor x in
+  let rec go h = function
+    | Value.Unit -> combine h 1
+    | Value.Bool b -> combine (combine h 2) (if b then 1 else 0)
+    | Value.Int i -> combine (combine h 3) i
+    | Value.Str s -> combine (combine h 4) (Hashtbl.hash s)
+    | Value.Pair (a, b) -> go (go (combine h 5) a) b
+    | Value.List xs -> List.fold_left go (combine h 6) xs
+  in
+  go 2166136261 v land max_int
+
+let prop_hash_reference =
+  qtest "hash ≡ closure-fold reference" value_gen (fun v -> Value.hash v = closure_hash v)
+
 let prop_hash_consistent =
   qtest "equal implies same hash" QCheck2.Gen.(pair value_gen value_gen) (fun (a, b) ->
     (not (Value.equal a b)) || Value.hash a = Value.hash b)
@@ -204,6 +221,7 @@ let suite =
       prop_compare_antisym;
       prop_compare_trans;
       prop_hash_consistent;
+      prop_hash_reference;
       prop_set_model;
       prop_set_add_mem;
       prop_map_model;

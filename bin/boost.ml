@@ -387,8 +387,10 @@ let chaos_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Systematic mode: explore with N parallel domains (work-stealing over the \
-             candidate enumeration; the merged report is deterministic). 1 keeps the \
-             sequential explorer.")
+             candidate enumeration). The verdict, the violation, the examined count and \
+             the space size are the same on every run; with dedup on, the count pruned \
+             by configuration fingerprint depends on how the domains interleave. 1 keeps \
+             the sequential explorer.")
   in
   let dedup_arg =
     Arg.(

@@ -26,31 +26,84 @@ let buf_top ~len = { items = Vset.top; len }
 let dopt_none = { may_none = true; values = Vset.bot }
 let dopt_of = function None -> dopt_none | Some v -> { may_none = false; values = Vset.singleton v }
 
-let dopt_leq a b = (b.may_none || not a.may_none) && Vset.leq a.values b.values
-let dopt_join a b = { may_none = a.may_none || b.may_none; values = Vset.join a.values b.values }
+(* Sharing-aware lattice operations. A transfer post is its pre-state with
+   one or two components replaced, the rest physically shared, so every
+   level answers [==] arguments at once and a join or widening returns its
+   first argument itself when nothing changed. This is exact: components are
+   immutable, {!Vset} lists are sorted and duplicate-free, and a buffer with
+   finite [items] has [len] = the hull of their lengths (see {!buf_make}),
+   so [a ⊔ a = a] and a result built from [a]'s own components is [a]. *)
 
-let dopt_widen a b =
-  { may_none = a.may_none || b.may_none; values = Vset.widen a.values b.values }
+let dopt_leq a b = a == b || ((b.may_none || not a.may_none) && Vset.leq a.values b.values)
 
-let dopt_equal a b = a.may_none = b.may_none && Vset.equal a.values b.values
+let dopt_merge fv a b =
+  if a == b then a
+  else
+    let may_none = a.may_none || b.may_none in
+    let values = fv a.values b.values in
+    if may_none = a.may_none && values == a.values then a else { may_none; values }
 
-let buf_leq a b = Vset.leq a.items b.items && Interval.leq a.len b.len
-let buf_join a b = buf_make ~items:(Vset.join a.items b.items) ~len:(Interval.join a.len b.len)
-let buf_widen a b = buf_make ~items:(Vset.widen a.items b.items) ~len:(Interval.widen a.len b.len)
-let buf_equal a b = Vset.equal a.items b.items && Interval.equal a.len b.len
+let dopt_join = dopt_merge Vset.join
+let dopt_widen = dopt_merge Vset.widen
+let dopt_equal a b = a == b || (a.may_none = b.may_none && Vset.equal a.values b.values)
+
+let buf_leq a b = a == b || (Vset.leq a.items b.items && Interval.leq a.len b.len)
+
+let buf_merge fv fl a b =
+  if a == b then a
+  else
+    let items = fv a.items b.items in
+    match items with
+    (* Finite items fix [len] as their hull: unchanged, they mean [a]. *)
+    | Vset.Set _ when items == a.items -> a
+    | _ ->
+      let len = fl a.len b.len in
+      if items == a.items && Interval.equal len a.len then a else buf_make ~items ~len
+
+let buf_join = buf_merge Vset.join Interval.join
+let buf_widen = buf_merge Vset.widen Interval.widen
+let buf_equal a b = a == b || (Vset.equal a.items b.items && Interval.equal a.len b.len)
+
+(* [Array.map2 f a b], but [a] itself when every [f a.(i) b.(i)] is
+   [a.(i)]; the copy is made at the first element that changes. *)
+let map2_shared f a b =
+  let n = Array.length a in
+  if Array.length b <> n then invalid_arg "Astate.map2_shared: length mismatch";
+  let rec scan i =
+    if i = n then a
+    else
+      let r = f a.(i) b.(i) in
+      if r == a.(i) then scan (i + 1)
+      else begin
+        let out = Array.copy a in
+        out.(i) <- r;
+        for j = i + 1 to n - 1 do
+          out.(j) <- f a.(j) b.(j)
+        done;
+        out
+      end
+  in
+  scan 0
 
 let svc_leq a b =
-  Vset.leq a.value b.value
-  && Array.for_all2 buf_leq a.inv b.inv
-  && Array.for_all2 buf_leq a.resp b.resp
+  a == b
+  || Vset.leq a.value b.value
+     && Array.for_all2 buf_leq a.inv b.inv
+     && Array.for_all2 buf_leq a.resp b.resp
 
 let svc_merge fv fb a b =
-  { value = fv a.value b.value; inv = Array.map2 fb a.inv b.inv; resp = Array.map2 fb a.resp b.resp }
+  if a == b then a
+  else
+    let value = fv a.value b.value in
+    let inv = map2_shared fb a.inv b.inv in
+    let resp = map2_shared fb a.resp b.resp in
+    if value == a.value && inv == a.inv && resp == a.resp then a else { value; inv; resp }
 
 let svc_equal a b =
-  Vset.equal a.value b.value
-  && Array.for_all2 buf_equal a.inv b.inv
-  && Array.for_all2 buf_equal a.resp b.resp
+  a == b
+  || Vset.equal a.value b.value
+     && Array.for_all2 buf_equal a.inv b.inv
+     && Array.for_all2 buf_equal a.resp b.resp
 
 let of_state (s : Model.State.t) =
   St
@@ -70,6 +123,8 @@ let of_state (s : Model.State.t) =
     }
 
 let leq a b =
+  a == b
+  ||
   match a, b with
   | Bot, _ -> true
   | _, Bot -> false
@@ -79,22 +134,26 @@ let leq a b =
     && Array.for_all2 dopt_leq a.decisions b.decisions
     && Array.for_all2 dopt_leq a.inputs b.inputs
 
-let merge fv fb fd a b =
-  match a, b with
-  | Bot, x | x, Bot -> x
+let merge fv fb fd x y =
+  match x, y with
+  | Bot, z | z, Bot -> z
   | St a, St b ->
-    St
-      {
-        procs = Array.map2 fv a.procs b.procs;
-        svcs = Array.map2 (svc_merge fv fb) a.svcs b.svcs;
-        decisions = Array.map2 fd a.decisions b.decisions;
-        inputs = Array.map2 fd a.inputs b.inputs;
-      }
+    if x == y then x
+    else
+      let procs = map2_shared fv a.procs b.procs in
+      let svcs = map2_shared (svc_merge fv fb) a.svcs b.svcs in
+      let decisions = map2_shared fd a.decisions b.decisions in
+      let inputs = map2_shared fd a.inputs b.inputs in
+      if procs == a.procs && svcs == a.svcs && decisions == a.decisions && inputs == a.inputs
+      then x
+      else St { procs; svcs; decisions; inputs }
 
 let join a b = merge Vset.join buf_join dopt_join a b
 let widen a b = merge Vset.widen buf_widen dopt_widen a b
 
 let equal a b =
+  a == b
+  ||
   match a, b with
   | Bot, Bot -> true
   | St a, St b ->

@@ -36,6 +36,11 @@ type st = {
 type t = Bot | St of st
 
 include Domain.LATTICE with type t := t
+(** Sharing-aware: every level (state, service, buffer, option) answers
+    [==] arguments at once, and [join a b] / [widen a b] return [a] itself
+    when the result equals it, copying a component array only from its
+    first changed element. Exact because components are immutable and
+    buffers stay in {!buf_make} normal form. *)
 
 val bot : t
 val of_state : Model.State.t -> t

@@ -131,13 +131,20 @@ let interval_out b = function
     int_out b lo;
     int_out b hi
 
+(* Intervals here are queue lengths: a stored range is non-empty and starts
+   at a non-negative bound, as every interval the analyzer builds does. *)
 let interval_in c =
   match next c with
   | '_' -> Interval.Bot
-  | 'w' -> Interval.unbounded (int_in c)
+  | 'w' ->
+    let lo = int_in c in
+    if lo < 0 then corrupt "negative interval bound %d" lo;
+    Interval.unbounded lo
   | 'r' ->
     let lo = int_in c in
     let hi = int_in c in
+    if lo < 0 then corrupt "negative interval bound %d" lo;
+    if hi < lo then corrupt "empty interval [%d,%d]" lo hi;
     Interval.Range (lo, Interval.Fin hi)
   | ch -> corrupt "bad interval tag %C" ch
 
@@ -156,9 +163,18 @@ let abuf_out b { Astate.items; len } =
   vset_out b items;
   interval_out b len
 
+(* A buffer with finite items must carry the hull of their lengths, the
+   normal form {!Astate.buf_make} keeps: the lattice's [==] short-cuts are
+   exact only on normalized buffers, so anything else is corrupt. *)
 let abuf_in c =
   let items = vset_in c in
   let len = interval_in c in
+  (match Vset.elements items with
+  | None -> ()
+  | Some qs ->
+    let qlen = function Value.List q -> List.length q | _ -> corrupt "buffer item is not a queue" in
+    if not (Interval.equal len (Interval.hull (List.map qlen qs))) then
+      corrupt "buffer length disagrees with its items");
   { Astate.items; len }
 
 let asvc_out b { Astate.value; inv; resp } =

@@ -33,12 +33,18 @@ val vset_in : cursor -> Vset.t
 
 val interval_out : Buffer.t -> Interval.t -> unit
 val interval_in : cursor -> Interval.t
+(** Rejects a negative lower bound and an empty range: stored intervals are
+    queue lengths. *)
 
 val array_out : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a array -> unit
 val array_in : cursor -> (cursor -> 'a) -> 'a array
 
 val abuf_out : Buffer.t -> Astate.abuf -> unit
 val abuf_in : cursor -> Astate.abuf
+(** Rejects a buffer with finite items that are not all queues, or whose
+    length is not the hull of their lengths (the {!Astate.buf_make} normal
+    form the lattice operations rely on). *)
+
 val asvc_out : Buffer.t -> Astate.asvc -> unit
 val asvc_in : cursor -> Astate.asvc
 val dopt_out : Buffer.t -> Astate.dopt -> unit

@@ -24,28 +24,66 @@ let mem v = function Top -> true | Set vs -> List.exists (Value.equal v) vs
 let elements = function Top -> None | Set vs -> Some vs
 let cardinal = function Top -> None | Set vs -> Some (List.length vs)
 
+(* Sorted merge. The result is [a] itself, physically, whenever it equals
+   [a], and otherwise [b] itself whenever it equals [b]: a join that adds
+   nothing allocates nothing, and a later [==] test on it succeeds at once.
+   Past a head only [b] has, the result can equal [b] alone, so the rest is
+   merged with [ys] first to keep that identity. *)
 let rec union a b =
-  match a, b with
-  | [], l | l, [] -> l
-  | x :: xs, y :: ys ->
+  if a == b then a
+  else
+    match a, b with
+    | [], l | l, [] -> l
+    | x :: xs, y :: ys ->
+      let c = Value.compare x y in
+      if c < 0 then
+        let r = union xs b in
+        if r == xs then a else x :: r
+      else if c > 0 then
+        let r = union ys a in
+        if r == ys then b else y :: r
+      else
+        let r = union xs ys in
+        if r == xs then a else if r == ys then b else x :: r
+
+(* Subset by sorted merge, O(n + m) on the sorted duplicate-free lists. *)
+let rec subset xs ys =
+  xs == ys
+  ||
+  match xs, ys with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs', y :: ys' ->
     let c = Value.compare x y in
-    if c < 0 then x :: union xs b else if c > 0 then y :: union a ys else x :: union xs ys
+    if c = 0 then subset xs' ys' else c > 0 && subset xs ys'
 
 let leq a b =
   match a, b with
   | _, Top -> true
   | Top, Set _ -> false
-  | Set xs, Set ys -> List.for_all (fun x -> List.exists (Value.equal x) ys) xs
+  | Set xs, Set ys -> subset xs ys
 
 let join a b =
-  match a, b with Top, _ | _, Top -> Top | Set xs, Set ys -> norm (union xs ys)
+  match a, b with
+  | Top, _ -> a
+  | _, Top -> b
+  | Set xs, Set ys ->
+    let u = union xs ys in
+    if u == xs then a else if u == ys then b else norm u
 
 let widen = join
+
+let rec list_equal xs ys =
+  xs == ys
+  ||
+  match xs, ys with
+  | x :: xs', y :: ys' -> Value.equal x y && list_equal xs' ys'
+  | _ -> false
 
 let equal a b =
   match a, b with
   | Top, Top -> true
-  | Set xs, Set ys -> List.equal Value.equal xs ys
+  | Set xs, Set ys -> list_equal xs ys
   | _ -> false
 
 let map f = function Top -> Top | Set vs -> of_list (List.map f vs)

@@ -9,6 +9,9 @@
 type t = Top | Set of Ioa.Value.t list  (** Sorted, duplicate-free. *)
 
 include Domain.LATTICE with type t := t
+(** Sharing-aware: [leq] is a sorted merge, every operation answers [==]
+    arguments at once, and [join a b] is [a] itself when it equals [a],
+    else [b] itself when it equals [b]. *)
 
 val cap : int
 (** Cardinality bound before collapsing to [Top] (24). *)

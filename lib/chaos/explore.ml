@@ -284,8 +284,9 @@ let merge ?(wall = false) ~space ~scheduled partials =
 
 (* A mutex-guarded deque of contiguous rank ranges per worker. The owner
    takes single ranks from the front; thieves split the back range in half
-   (or take it whole), classic work-stealing shape. Correctness does not
-   depend on who runs what: the merge is deterministic either way. *)
+   (or take it whole), classic work-stealing shape. Verdicts do not depend
+   on who runs what: the merge is order-insensitive, and only the dedup
+   tallies (which twin is pruned) follow the interleaving. *)
 type deque = { mutable ranges : (int * int) list; lock : Mutex.t }
 
 let deque ranges = { ranges; lock = Mutex.create () }

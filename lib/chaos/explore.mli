@@ -115,11 +115,11 @@ val run :
     {!run_par} distributes the same candidate enumeration over OCaml 5
     domains: ranks (enumeration indices) are dealt into per-worker deques of
     contiguous ranges, idle workers steal half a range from a victim's back,
-    and per-run results are merged deterministically — counters are summed
-    over ranks at most the winning rank, and the winning violation is the
-    rank-least (then lexicographically least) one, so the merged report is
-    identical run-to-run regardless of interleaving, and identical to {!run}
-    whenever dedup is off.
+    and per-run results are merged by {!merge} — counters are summed over
+    ranks at most the winning rank, and the winning violation is the
+    rank-least (then lexicographically least) one. With dedup off the merged
+    report is identical run-to-run regardless of interleaving, and identical
+    to {!run}.
 
     With [dedup] (default on), each run fingerprints its configuration at
     schedule activation ({!Fingerprint.key}: round-robin cursor, observable
@@ -128,8 +128,13 @@ val run :
     Pruning preserves verdicts, [examined], [space], [truncated],
     [step_budget_hits] and [undelivered_crashes] exactly; only
     [monitor_truncations] can undercount (a pruned run's suffix truncations
-    are not re-counted). Dedup is disabled automatically under [Seeded]
-    interleaving, where runs are not cursor×state deterministic. *)
+    are not re-counted). Which twin runs first, and so which is pruned,
+    depends on how the domains interleave: with dedup on, the verdict, the
+    violation, [examined] and [space] are the same on every run, but
+    [dedup_hits] (the "pruned by configuration fingerprint" count) and the
+    per-run tallies a pruned run only partly contributes to are not. Dedup
+    is disabled automatically under [Seeded] interleaving, where runs are
+    not cursor×state deterministic. *)
 
 type run_record = {
   rank : int;  (** Enumeration index of the candidate schedule. *)

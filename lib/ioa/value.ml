@@ -8,35 +8,43 @@ type t =
 
 exception Type_error of string
 
+(* [Value.t] is immutable, so a physically equal pair of subterms is equal:
+   every node answers [0] at once on [==]. Deep sharing is common — buffered
+   queues and process states are rebuilt around the parts that did not
+   change — so the short-cut saves whole subtree walks, not just the root. *)
 let rec compare a b =
-  match a, b with
-  | Unit, Unit -> 0
-  | Unit, _ -> -1
-  | _, Unit -> 1
-  | Bool x, Bool y -> Bool.compare x y
-  | Bool _, _ -> -1
-  | _, Bool _ -> 1
-  | Int x, Int y -> Int.compare x y
-  | Int _, _ -> -1
-  | _, Int _ -> 1
-  | Str x, Str y -> String.compare x y
-  | Str _, _ -> -1
-  | _, Str _ -> 1
-  | Pair (x1, y1), Pair (x2, y2) ->
-    let c = compare x1 x2 in
-    if c <> 0 then c else compare y1 y2
-  | Pair _, _ -> -1
-  | _, Pair _ -> 1
-  | List xs, List ys -> compare_lists xs ys
+  if a == b then 0
+  else
+    match a, b with
+    | Unit, Unit -> 0
+    | Unit, _ -> -1
+    | _, Unit -> 1
+    | Bool x, Bool y -> Bool.compare x y
+    | Bool _, _ -> -1
+    | _, Bool _ -> 1
+    | Int x, Int y -> Int.compare x y
+    | Int _, _ -> -1
+    | _, Int _ -> 1
+    | Str x, Str y -> String.compare x y
+    | Str _, _ -> -1
+    | _, Str _ -> 1
+    | Pair (x1, y1), Pair (x2, y2) ->
+      let c = compare x1 x2 in
+      if c <> 0 then c else compare y1 y2
+    | Pair _, _ -> -1
+    | _, Pair _ -> 1
+    | List xs, List ys -> compare_lists xs ys
 
 and compare_lists xs ys =
-  match xs, ys with
-  | [], [] -> 0
-  | [], _ :: _ -> -1
-  | _ :: _, [] -> 1
-  | x :: xs', y :: ys' ->
-    let c = compare x y in
-    if c <> 0 then c else compare_lists xs' ys'
+  if xs == ys then 0
+  else
+    match xs, ys with
+    | [], [] -> 0
+    | [], _ :: _ -> -1
+    | _ :: _, [] -> 1
+    | x :: xs', y :: ys' ->
+      let c = compare x y in
+      if c <> 0 then c else compare_lists xs' ys'
 
 let equal a b = compare a b = 0
 

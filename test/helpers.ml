@@ -30,6 +30,15 @@ let value_gen =
           map (fun xs -> Value.List xs) (list_size (int_bound 4) (self (n / 2)));
         ])
 
+(* A structurally equal value that shares no block with its argument. *)
+let rec fresh_copy = function
+  | Value.Unit -> Value.Unit
+  | Value.Bool b -> Value.Bool b
+  | Value.Int i -> Value.Int i
+  | Value.Str s -> Value.Str (Bytes.to_string (Bytes.of_string s))
+  | Value.Pair (a, b) -> Value.Pair (fresh_copy a, fresh_copy b)
+  | Value.List xs -> Value.List (List.map fresh_copy xs)
+
 (* Register a QCheck2 property as an alcotest case. *)
 let qtest name ?(count = 200) gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)

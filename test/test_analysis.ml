@@ -6,7 +6,8 @@
    by Valence.analyze at the root. A golden lint on a deliberately flawed
    candidate checks the blank-protocol diagnostic, and the static pruning
    oracle is pinned to the unpruned explorer: identical reports while
-   skipping a nonzero number of schedules. *)
+   skipping a nonzero number of schedules. The sharing-aware lattice
+   operations are pinned to references that ignore physical sharing. *)
 
 open Ioa
 open Helpers
@@ -100,6 +101,238 @@ let qcheck_abstract_over_approximates =
         let r = A.Reach.analyze ~inputs:(int_inputs inputs) sys in
         let abstract = A.Reach.may_decided_values r in
         List.for_all (fun v -> A.Vset.mem (Value.int v) abstract) decided)
+
+(* --- sharing-aware lattice operations vs references that ignore sharing --- *)
+
+(* A naive list-set model of {!A.Vset}: [None] is [Top], membership is
+   structural equality, and a join that outgrows [cap] collapses. *)
+let vset_model = function A.Vset.Top -> None | A.Vset.Set xs -> Some xs
+let set_mem x xs = List.exists (fun y -> x = y) xs
+let set_subset xs ys = List.for_all (fun x -> set_mem x ys) xs
+
+let model_leq a b =
+  match vset_model a, vset_model b with
+  | _, None -> true
+  | None, Some _ -> false
+  | Some xs, Some ys -> set_subset xs ys
+
+let model_join a b =
+  match vset_model a, vset_model b with
+  | None, _ | _, None -> None
+  | Some xs, Some ys ->
+    let u = List.fold_left (fun acc y -> if set_mem y acc then acc else y :: acc) xs ys in
+    if List.length u > A.Vset.cap then None else Some u
+
+let model_equal m m' =
+  match m, m' with
+  | None, None -> true
+  | Some xs, Some ys -> set_subset xs ys && set_subset ys xs
+  | _ -> false
+
+let rec strictly_sorted = function
+  | x :: (y :: _ as rest) -> Value.compare x y < 0 && strictly_sorted rest
+  | _ -> true
+
+(* Two sets over a shared pool: each keeps a random subset of a common
+   prefix and the pool's remaining tail physically shared, so the merge
+   meets both equal-but-distinct heads and [==] tails. Some sets outgrow
+   [cap] (built as [Top]), and fresh copies share nothing. *)
+let vset_pair_gen =
+  let open QCheck2.Gen in
+  let* pool = list_size (int_range 0 34) (oneof [ map Value.int (int_bound 40); value_gen ]) in
+  let pool = List.sort_uniq Value.compare pool in
+  let* k = int_bound (List.length pool) and* m1 = int and* m2 = int and* shape = int_bound 5 in
+  let rec split i = function
+    | x :: rest when i > 0 ->
+      let pre, tail = split (i - 1) rest in
+      x :: pre, tail
+    | l -> [], l
+  in
+  let prefix, tail = split k pool in
+  let pick mask = List.filteri (fun i _ -> (mask lsr (i mod 60)) land 1 = 1) prefix @ tail in
+  let mk xs = if List.length xs > A.Vset.cap then A.Vset.Top else A.Vset.Set xs in
+  let a = mk (pick m1) and b = mk (pick m2) in
+  let fresh = function
+    | A.Vset.Top -> A.Vset.Top
+    | A.Vset.Set xs -> A.Vset.Set (List.map fresh_copy xs)
+  in
+  return
+    (match shape with
+    | 0 -> a, a
+    | 1 -> a, fresh a
+    | 2 -> a, A.Vset.join a b
+    | 3 -> A.Vset.join a b, b
+    | _ -> a, b)
+
+let prop_vset_reference =
+  qtest "vset leq/join/equal ≡ list-set model" ~count:500 vset_pair_gen (fun (a, b) ->
+      let j = A.Vset.join a b in
+      A.Vset.leq a b = model_leq a b
+      && A.Vset.leq b a = model_leq b a
+      && A.Vset.equal a b = model_equal (vset_model a) (vset_model b)
+      && model_equal (vset_model j) (model_join a b)
+      && (match j with A.Vset.Set xs -> strictly_sorted xs | A.Vset.Top -> true)
+      (* A join equal to an argument is that argument itself, [a] first. *)
+      && (not (model_equal (vset_model j) (vset_model a)) || j == a)
+      && (model_equal (vset_model j) (vset_model a)
+         || not (model_equal (vset_model j) (vset_model b))
+         || j == b))
+
+(* Reference abstract-state lattice operations: component-wise, with no
+   [==] short-cut, over the list-set model above. *)
+module Ref_astate = struct
+  open A.Astate
+
+  let rec union a b =
+    match a, b with
+    | [], l | l, [] -> l
+    | x :: xs, y :: ys ->
+      let c = Value.compare x y in
+      if c < 0 then x :: union xs b else if c > 0 then y :: union a ys else x :: union xs ys
+
+  let vjoin a b =
+    match a, b with
+    | A.Vset.Top, _ | _, A.Vset.Top -> A.Vset.Top
+    | A.Vset.Set xs, A.Vset.Set ys ->
+      let u = union xs ys in
+      if List.length u > A.Vset.cap then A.Vset.Top else A.Vset.Set u
+
+  let vleq = model_leq
+  let vequal a b = model_equal (vset_model a) (vset_model b)
+  let dopt_leq a b = (b.may_none || not a.may_none) && vleq a.values b.values
+  let dopt_join a b = { may_none = a.may_none || b.may_none; values = vjoin a.values b.values }
+  let dopt_equal a b = a.may_none = b.may_none && vequal a.values b.values
+  let buf_leq a b = vleq a.items b.items && A.Interval.leq a.len b.len
+
+  let buf_merge fl a b = buf_make ~items:(vjoin a.items b.items) ~len:(fl a.len b.len)
+  let buf_equal a b = vequal a.items b.items && A.Interval.equal a.len b.len
+
+  let svc_leq a b =
+    vleq a.value b.value
+    && Array.for_all2 buf_leq a.inv b.inv
+    && Array.for_all2 buf_leq a.resp b.resp
+
+  let svc_merge fl a b =
+    {
+      value = vjoin a.value b.value;
+      inv = Array.map2 (buf_merge fl) a.inv b.inv;
+      resp = Array.map2 (buf_merge fl) a.resp b.resp;
+    }
+
+  let svc_equal a b =
+    vequal a.value b.value
+    && Array.for_all2 buf_equal a.inv b.inv
+    && Array.for_all2 buf_equal a.resp b.resp
+
+  let leq a b =
+    match a, b with
+    | Bot, _ -> true
+    | _, Bot -> false
+    | St a, St b ->
+      Array.for_all2 vleq a.procs b.procs
+      && Array.for_all2 svc_leq a.svcs b.svcs
+      && Array.for_all2 dopt_leq a.decisions b.decisions
+      && Array.for_all2 dopt_leq a.inputs b.inputs
+
+  let merge fl a b =
+    match a, b with
+    | Bot, x | x, Bot -> x
+    | St a, St b ->
+      St
+        {
+          procs = Array.map2 vjoin a.procs b.procs;
+          svcs = Array.map2 (svc_merge fl) a.svcs b.svcs;
+          decisions = Array.map2 dopt_join a.decisions b.decisions;
+          inputs = Array.map2 dopt_join a.inputs b.inputs;
+        }
+
+  (* Vset widening is its join; only the length intervals widen. *)
+  let join = merge A.Interval.join
+  let widen = merge A.Interval.widen
+
+  let equal a b =
+    match a, b with
+    | Bot, Bot -> true
+    | St a, St b ->
+      Array.for_all2 vequal a.procs b.procs
+      && Array.for_all2 svc_equal a.svcs b.svcs
+      && Array.for_all2 dopt_equal a.decisions b.decisions
+      && Array.for_all2 dopt_equal a.inputs b.inputs
+    | _ -> false
+end
+
+(* A structurally equal state that shares nothing with its argument: the
+   cache codec's round trip (which also re-checks buffer normal form). *)
+let fresh_astate x =
+  let b = Buffer.create 256 in
+  A.Codec.astate_out b x;
+  A.Codec.astate_in (A.Codec.cursor (Buffer.contents b))
+
+(* Argument pairs over abstract states one protocol's analysis really
+   meets: the initialized state's singleton abstraction, the first distinct
+   states its transfer posts reach (precise states, decided ones included)
+   and the fixpoint solution at every failed set. Each pre-state is paired
+   with its own posts (which share all but the components their task
+   wrote), the posts with each other and with their running join (the
+   accumulator [Transfer] builds), each with a fresh copy and itself, and a
+   sample of unrelated states with one another. *)
+let astate_pairs name =
+  let sys = build name in
+  let n = Array.length sys.Model.System.processes in
+  let init =
+    A.Astate.of_state (Model.System.initialize sys (int_inputs (List.init n (fun i -> i mod 2))))
+  in
+  let posts f x =
+    Array.to_list sys.Model.System.tasks
+    |> List.map (fun tk -> (A.Transfer.task sys ~failed:f x tk).A.Transfer.post)
+    |> List.filter (function A.Astate.Bot -> false | A.Astate.St _ -> true)
+  in
+  (* Breadth-first over distinct posts, up to 96 states. *)
+  let rec explore seen = function
+    | [] -> List.rev seen
+    | _ when List.length seen >= 96 -> List.rev seen
+    | x :: rest ->
+      let fresh =
+        List.filter
+          (fun p -> not (List.exists (A.Astate.equal p) (seen @ rest)))
+          (posts Spec.Iset.empty x)
+      in
+      explore (x :: seen) (rest @ fresh)
+  in
+  let r = A.Reach.analyze sys in
+  let pres =
+    List.map (fun x -> Spec.Iset.empty, x) (explore [] [ init ])
+    @ (Array.to_list r.A.Reach.infos |> List.map (fun i -> i.A.Reach.failed, i.A.Reach.astate))
+  in
+  let around (f, x) =
+    let ps = posts f x in
+    let running = List.fold_left A.Astate.join x ps in
+    let rec adjacent = function p :: (q :: _ as rest) -> (p, q) :: adjacent rest | _ -> [] in
+    ((x, x) :: (x, fresh_astate x) :: (x, A.Astate.Bot) :: (A.Astate.Bot, x) :: (running, x)
+     :: adjacent ps)
+    @ List.concat_map (fun p -> [ x, p; p, x; p, fresh_astate p; running, p; p, running ]) ps
+  in
+  let states = Array.of_list (List.map snd pres) in
+  let m = Array.length states in
+  List.concat_map around pres
+  @ List.init (4 * m) (fun k -> states.(k mod m), states.(k * 7 mod m))
+
+let test_astate_reference name () =
+  let pairs = astate_pairs name in
+  Alcotest.(check bool) "enough pairs" true (List.length pairs > 50);
+  List.iter
+    (fun (a, b) ->
+      let check what got want =
+        if got <> want then Alcotest.failf "%s disagrees with the reference on %s" what name
+      in
+      check "leq" (A.Astate.leq a b) (Ref_astate.leq a b);
+      check "equal" (A.Astate.equal a b) (Ref_astate.equal a b);
+      let j = A.Astate.join a b and w = A.Astate.widen a b in
+      check "join" (Ref_astate.equal j (Ref_astate.join a b)) true;
+      check "widen" (Ref_astate.equal w (Ref_astate.widen a b)) true;
+      check "join keeps an unchanged argument" (not (Ref_astate.equal j a) || j == a) true;
+      check "widen keeps an unchanged argument" (not (Ref_astate.equal w a) || w == a) true)
+    pairs
 
 let test_registry_lints_clean () =
   (* The acceptance bar for `boost lint --all`: no registry protocol is
@@ -233,6 +466,11 @@ let suite =
       Alcotest.test_case "interval domain" `Quick test_interval;
       Alcotest.test_case "vset cap" `Quick test_vset_cap;
       Alcotest.test_case "fixpoint chain widens" `Quick test_fixpoint_chain;
+      prop_vset_reference;
+      Alcotest.test_case "astate ops ≡ reference: direct" `Quick (test_astate_reference "direct");
+      Alcotest.test_case "astate ops ≡ reference: tob" `Quick (test_astate_reference "tob");
+      Alcotest.test_case "astate ops ≡ reference: queue" `Quick (test_astate_reference "queue");
+      Alcotest.test_case "astate ops ≡ reference: mp-all" `Quick (test_astate_reference "mp-all");
       qcheck_abstract_over_approximates;
       Alcotest.test_case "registry lints clean" `Slow test_registry_lints_clean;
       Alcotest.test_case "golden flawed candidate" `Quick test_golden_flawed_blank;

@@ -266,6 +266,74 @@ let test_stale_envelope_dropped () =
   Alcotest.(check int) "nothing quarantined" 0 (Cache.corrupt_count ~dir);
   ignore (Cache.clear ~dir)
 
+(* --- decoder normal form: crafted reach entries are quarantined --- *)
+
+(* A reach entry in the layout [Cache.reach_store] writes: the service
+   hashes, then the encoded solution. *)
+let reach_payload (h : Structhash.t) sol =
+  let b = Buffer.create 1024 in
+  Analysis.Codec.int_out b (List.length h.Structhash.services);
+  List.iter
+    (fun (id, bh) ->
+      Analysis.Codec.string_out b id;
+      Analysis.Codec.int_out b bh)
+    h.Structhash.services;
+  Analysis.Reach.encode_solution b sol;
+  Buffer.contents b
+
+(* Every stored state with its first service's first inv buffer replaced. *)
+let with_buffer (buf : Analysis.Astate.abuf) (sol : Analysis.Reach.solution) =
+  let edit = function
+    | Analysis.Astate.Bot -> Analysis.Astate.Bot
+    | Analysis.Astate.St st ->
+      let svcs = Array.copy st.Analysis.Astate.svcs in
+      let svc = svcs.(0) in
+      let inv = Array.copy svc.Analysis.Astate.inv in
+      inv.(0) <- buf;
+      svcs.(0) <- { svc with Analysis.Astate.inv };
+      Analysis.Astate.St { st with Analysis.Astate.svcs }
+  in
+  { sol with Analysis.Reach.s_astates = Array.map edit sol.Analysis.Reach.s_astates }
+
+(* The lattice's [==] short-cuts are exact only on normalized buffers, so
+   the decoder must reject the rest as corrupt (quarantine, then a cold
+   miss), never accept it or raise anything else. The untouched solution,
+   written the same way, is a hit. *)
+let test_crafted_buffer_rejected (buf : Analysis.Astate.abuf) () =
+  let dir = scratch () in
+  let sys = (Option.get (Registry.find "direct")).Registry.build Registry.default_params in
+  let h = Structhash.system sys in
+  let sol = Analysis.Reach.solution_of (Analysis.Reach.analyze ~max_faults:1 sys) in
+  let key = Cache.reach_key h ~max_faults:1 ~inputs_key:"crafted" in
+  let c = Cache.open_ ~dir in
+  let find () = Cache.reach_find c h ~max_faults:1 ~inputs_key:"crafted" sys in
+  Cache.store c ~kind:"reach" ~key (reach_payload h sol);
+  Alcotest.(check bool) "untouched entry is a hit" true (find () <> None);
+  Cache.store c ~kind:"reach" ~key (reach_payload h (with_buffer buf sol));
+  Alcotest.(check bool) "crafted entry is a miss" true (find () = None);
+  Alcotest.(check int) "corrupt counted" 1 c.Cache.stats.Cache.corrupt;
+  Alcotest.(check int) "file quarantined" 1 (Cache.corrupt_count ~dir);
+  (* The decoder itself rejects it, before anything downstream can raise. *)
+  let b = Buffer.create 64 in
+  Analysis.Codec.abuf_out b buf;
+  (match Analysis.Codec.abuf_in (Analysis.Codec.cursor (Buffer.contents b)) with
+  | exception Analysis.Codec.Corrupt _ -> ()
+  | _ -> Alcotest.fail "Codec.abuf_in accepted the crafted buffer");
+  ignore (Cache.clear ~dir)
+
+let queue vs = Value.list (List.map Value.int vs)
+
+let crafted_buffers =
+  let open Analysis in
+  [
+    ( "buffer: wrong length",
+      { Astate.items = Vset.of_list [ queue [ 1 ]; queue [ 1; 2 ] ]; len = Interval.range 0 5 } );
+    ( "buffer: item not a queue",
+      { Astate.items = Vset.singleton (Value.int 3); len = Interval.of_int 1 } );
+    ("interval: hi < lo", { Astate.items = Vset.top; len = Interval.Range (3, Interval.Fin 1) });
+    ("interval: negative lo", { Astate.items = Vset.top; len = Interval.Range (-1, Interval.Fin 2) });
+  ]
+
 (* --- warm-vs-cold differentials over the whole fleet --- *)
 
 let lint_fleet ?cache () =
@@ -401,6 +469,13 @@ let suite =
         test_rename_cache_reuse;
       Alcotest.test_case "corrupt entries quarantined" `Quick test_corrupt_quarantine;
       Alcotest.test_case "stale envelopes dropped" `Quick test_stale_envelope_dropped;
+    ]
+    @ List.map
+        (fun (what, buf) ->
+          Alcotest.test_case ("reject " ^ what) `Quick
+            (test_crafted_buffer_rejected buf))
+        crafted_buffers
+    @ [
       Alcotest.test_case "lint: warm = cold, hit per protocol" `Quick
         test_lint_warm_equals_cold;
       Alcotest.test_case "one edit re-analyzes one protocol" `Quick

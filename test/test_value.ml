@@ -163,6 +163,71 @@ let prop_hash_consistent =
   qtest "equal implies same hash" QCheck2.Gen.(pair value_gen value_gen) (fun (a, b) ->
     (not (Value.equal a b)) || Value.hash a = Value.hash b)
 
+(* [Value.compare] without its [==] short-cut: a purely structural walk
+   that never looks at physical identity. *)
+let rec structural_compare a b =
+  match a, b with
+  | Value.Unit, Value.Unit -> 0
+  | Value.Unit, _ -> -1
+  | _, Value.Unit -> 1
+  | Value.Bool x, Value.Bool y -> Bool.compare x y
+  | Value.Bool _, _ -> -1
+  | _, Value.Bool _ -> 1
+  | Value.Int x, Value.Int y -> Int.compare x y
+  | Value.Int _, _ -> -1
+  | _, Value.Int _ -> 1
+  | Value.Str x, Value.Str y -> String.compare x y
+  | Value.Str _, _ -> -1
+  | _, Value.Str _ -> 1
+  | Value.Pair (x1, y1), Value.Pair (x2, y2) ->
+    let c = structural_compare x1 x2 in
+    if c <> 0 then c else structural_compare y1 y2
+  | Value.Pair _, _ -> -1
+  | _, Value.Pair _ -> 1
+  | Value.List xs, Value.List ys -> List.compare structural_compare xs ys
+
+(* Replace the subterm that the bits of [k] steer to with [f] of it, keeping
+   every other subterm (list tails included) physically shared. *)
+let rec edit k f v =
+  match v with
+  | Value.Pair (a, b) when k > 1 ->
+    if k land 1 = 0 then Value.Pair (edit (k lsr 1) f a, b) else Value.Pair (a, edit (k lsr 1) f b)
+  | Value.List (_ :: _ as xs) when k > 1 ->
+    let i = (k lsr 1) mod List.length xs in
+    let rec go j = function
+      | [] -> []
+      | x :: rest -> if j = 0 then edit (k lsr 3) f x :: rest else x :: go (j - 1) rest
+    in
+    Value.List (go i xs)
+  | _ -> f v
+
+(* Pairs with every kind of sharing: aliased, a deep copy, one-site edits
+   (to a fresh equal subterm or to an arbitrary one) that share the rest,
+   two edits of a common base, and unrelated values. *)
+let related_pair_gen =
+  let open QCheck2.Gen in
+  let* a = value_gen in
+  let* k1 = int_bound 4095 and* k2 = int_bound 4095 and* r = value_gen in
+  let subst = function 0 -> fresh_copy | _ -> fun _ -> r in
+  let* s1 = int_bound 1 and* s2 = int_bound 1 in
+  oneofl
+    [
+      a, a;
+      a, fresh_copy a;
+      a, edit k1 (subst s1) a;
+      edit k1 (subst s1) a, edit k2 (subst s2) a;
+      Value.Pair (a, a), Value.Pair (a, fresh_copy a);
+      Value.List [ a; r ], Value.List [ fresh_copy a; r ];
+      a, r;
+    ]
+
+let prop_compare_reference =
+  qtest "compare ≡ structural reference under sharing" ~count:500 related_pair_gen
+    (fun (a, b) ->
+      Value.compare a b = structural_compare a b
+      && Value.compare b a = structural_compare b a
+      && Value.equal a b = (structural_compare a b = 0))
+
 let prop_set_model =
   qtest "set ops match a model" ~count:300
     QCheck2.Gen.(list_size (int_bound 12) (int_bound 8))
@@ -222,6 +287,7 @@ let suite =
       prop_compare_trans;
       prop_hash_consistent;
       prop_hash_reference;
+      prop_compare_reference;
       prop_set_model;
       prop_set_add_mem;
       prop_map_model;

@@ -136,15 +136,118 @@ let schedules sys cfg =
   in
   Seq.flat_map of_size (Seq.init (cfg.max_faults + 1) Fun.id)
 
+let binom n k =
+  if k < 0 || k > n then 0
+  else begin
+    (* After step i, [r] is C(n - k + i, i): every division is exact. *)
+    let r = ref 1 in
+    for i = 1 to k do
+      r := !r * (n - k + i) / i
+    done;
+    !r
+  end
+
+let rec pow b e = if e = 0 then 1 else b * pow b (e - 1)
+
 let space_size sys cfg =
   let g = List.length (grid cfg) in
   let t = List.length (templates sys cfg) in
-  let rec binom n k = if k = 0 || k = n then 1 else binom (n - 1) (k - 1) + binom (n - 1) k in
-  let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
   let rec sum k acc =
     if k > cfg.max_faults || k > t then acc else sum (k + 1) (acc + (binom t k * pow g k))
   in
   sum 0 0
+
+(* --- resuming each schedule from its parent's checkpoint ---
+
+   A schedule and its {!Schedule.parent} make the same turns up to the step
+   where the parent's missing fault first takes effect, so the explorer runs
+   the schedule from a checkpoint of the parent's walk at that step
+   ({!Runner.at}) instead of replaying the shared prefix. The parent's walk
+   (its stem) starts in turn from its own parent's stem, and records only
+   from its divergence on: the fault-free root is walked once, and every
+   stem shares its execution spine.
+
+   Every parent of a schedule is a sub-schedule over the same template
+   subset, and the enumeration is lexicographic with the subset's first
+   template outermost: its step stays fixed over a contiguous run of ranks.
+   So the cache holds only the current subset's stems, and drops those
+   carrying the first template once its step moves on. The fault-free roots
+   stay. Memory is bounded by the shape of the enumeration, not by a cap. *)
+
+module Stems = Hashtbl.Make (struct
+  type t = Schedule.t
+
+  let equal = Schedule.equal
+  let hash (s : Schedule.t) =
+    List.fold_left (fun h f -> (h * 31) + Hashtbl.hash f) 0 s.Schedule.faults
+end)
+
+(* Where a rank sits in the enumeration: its template subset (numbered
+   across all sizes), the subset's first template, and that template's step
+   index. Size k contributes C(t, k) subsets of g^k consecutive ranks; the
+   subsets are lexicographic, C(t - x - 1, k - 1) of them starting with
+   template x; within a subset the first template's step is the outermost
+   digit. *)
+let locate ~templates:t ~points:g rank =
+  let rec size k off before =
+    let per = pow g k in
+    let n = binom t k * per in
+    if rank < off + n || k >= t then k, rank - off, per, before
+    else size (k + 1) (off + n) (before + binom t k)
+  in
+  let k, within, per, before = size 0 0 0 in
+  let rec first x idx =
+    let c = binom (t - x - 1) (k - 1) in
+    if idx < c || x >= t - 1 then x else first (x + 1) (idx - c)
+  in
+  let outer = if k = 0 then 0 else within mod per / (per / g) in
+  before + (within / per), first 0 (within / per), outer
+
+(* A per-domain resumer: [resume ~rank schedule] is the checkpoint to run
+   [schedule] from, or [None] for a fault-free schedule. *)
+let resumer ~monitors ~interleave ~inputs cfg (sys : Model.System.t) =
+  let tmpls = Array.of_list (templates sys cfg) and points = List.length (grid cfg) in
+  (* No divergence step lies past this: a first delivery lands at most
+     one turn per earlier delivery (two per partition) past its nominal
+     step, and the only earlier deliveries are those of the other faults. *)
+  let upto = cfg.horizon - 1 + (2 * max 0 (cfg.max_faults - 1)) in
+  let stems = Stems.create 64 in
+  let at = ref (-1, -1, -1) in
+  let rec stem_of p =
+    match Stems.find_opt stems p with
+    | Some st -> st
+    | None ->
+      let prefix =
+        Option.map (fun (pp, d) -> Runner.at (stem_of pp) d) (Schedule.parent p)
+      in
+      let st =
+        Runner.stem ~monitors ~max_steps:cfg.max_steps ?interleave ?inputs ?prefix
+          ~schedule:p ~upto sys
+      in
+      Stems.add stems p st;
+      st
+  in
+  let evict keep =
+    Stems.filter_map_inplace
+      (fun (p : Schedule.t) st ->
+        if p.Schedule.faults = [] || keep p then Some st else None)
+      stems
+  in
+  fun ~rank schedule ->
+    let ((sub, first, outer) as here) =
+      locate ~templates:(Array.length tmpls) ~points rank
+    in
+    let sub', _, outer' = !at in
+    if sub <> sub' then evict (fun _ -> false)
+    else if outer <> outer' then
+      evict (fun p ->
+          not
+            (List.exists
+               (fun f ->
+                 Schedule.compare_fault f (tmpls.(first) (Schedule.fault_step f)) = 0)
+               p.Schedule.faults));
+    at := here;
+    Option.map (fun (p, d) -> Runner.at (stem_of p) d) (Schedule.parent schedule)
 
 (* Callers that pass no monitors get the default family matching the
    config's degrade flag, so `--degrade` composes with the static oracles:
@@ -166,6 +269,7 @@ let run ?monitors ?interleave ?inputs ?config ?(stop = fun () -> false)
   let undelivered_crashes = ref 0 in
   let undelivered_net = ref 0 in
   let vacuous = ref 0 in
+  let resume = resumer ~monitors ~interleave ~inputs cfg sys in
   let rec scan seq =
     match seq () with
     | Seq.Nil -> None, false, false
@@ -173,9 +277,11 @@ let run ?monitors ?interleave ?inputs ?config ?(stop = fun () -> false)
       if stop () then None, false, true
       else if !examined >= cfg.budget then None, true, false
       else begin
+        let prefix = resume ~rank:!examined schedule in
         incr examined;
         let r =
-          Runner.run ~monitors ?interleave ?inputs ~max_steps:cfg.max_steps ~schedule sys
+          Runner.run ~monitors ?interleave ?inputs ~max_steps:cfg.max_steps ?prefix
+            ~schedule sys
         in
         monitor_truncations := !monitor_truncations + List.length r.Runner.monitor_truncations;
         undelivered_crashes := !undelivered_crashes + r.Runner.undelivered_crashes;
@@ -701,20 +807,6 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
     (* Sound only under the deterministic round-robin interleaving. *)
     dedup && match interleave with Some (Runner.Seeded _) -> false | _ -> true
   in
-  let prefix =
-    (* The shared fault-free stem: every crash-only candidate under the
-       silencing adversary replays this prefix up to its first crash
-       (net-bearing candidates run whole; {!Runner.resumable} gates). Built
-       once, read-only across domains. *)
-    match interleave with
-    | Some (Runner.Seeded _) -> None
-    | _ when scheduled = 0 -> None
-    | _ ->
-      Some
-        (Runner.prefix ~monitors:eff_monitors ?inputs ~max_steps:cfg.max_steps
-           ~steps:(min (max 0 (cfg.horizon - 1)) cfg.max_steps)
-           sys)
-  in
   let visited = Fingerprint.Visited.create () in
   let best = Atomic.make max_int in
   let outstanding = Atomic.make scheduled in
@@ -724,7 +816,7 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
         let lo = w * chunk and hi = min scheduled ((w + 1) * chunk) in
         deque (if lo < hi then [ (lo, hi) ] else []))
   in
-  let run_one rank records =
+  let run_one ~resume rank records =
     (* Ranks at or past the best violating rank cannot affect the merged
        report; skipping them is the early-exit that makes the search stop. *)
     if rank < Atomic.get best then begin
@@ -801,7 +893,7 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
       in
       let r =
         Runner.run ~monitors:eff_monitors ?interleave ?inputs ~max_steps:cfg.max_steps
-          ?on_active ?prefix ~schedule sys
+          ?on_active ?prefix:(resume ~rank schedule) ~schedule sys
       in
       let base =
         {
@@ -851,6 +943,7 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
   let wall_stopped = Atomic.make false in
   let worker w () =
     let records = ref [] in
+    let resume = resumer ~monitors:eff_monitors ~interleave ~inputs cfg sys in
     let my = deques.(w) in
     let poison e =
       (* Let the sibling workers drain and exit instead of spinning on a
@@ -875,7 +968,7 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
       else if Atomic.get outstanding > 0 then begin
         (match next_rank my with
         | Some rank ->
-          (try run_one rank records with e -> poison e);
+          (try run_one ~resume rank records with e -> poison e);
           Atomic.decr outstanding
         | None -> (
           match scavenge 0 with

@@ -108,7 +108,16 @@ val run :
     differentially tested against. Single-domain, no dedup, first violation
     in enumeration order wins. [stop] is polled once per candidate; once it
     returns true the scan ends immediately and the report is marked
-    [wall_truncated]. *)
+    [wall_truncated].
+
+    Each candidate runs from a checkpoint of its {!Schedule.parent}'s walk
+    ({!Runner.stem}, {!Runner.at}) at the step where the two diverge,
+    instead of from the initial state. The walks chain from parent to
+    parent back to the fault-free run, and only the current template
+    subset's walks are held. Every per-schedule result — steps, stop,
+    truncations, counters, the execution — is the one {!Runner.run} gives
+    from the initial state, so the report is too (pinned by
+    test/test_chaos_par.ml; DESIGN.md §3.16). *)
 
 (** {1 Parallel exploration}
 
@@ -185,7 +194,9 @@ val run_par :
   Model.System.t ->
   report
 (** [domains] defaults to 1 (same worker machinery, no spawned domains);
-    [dedup] defaults to true.
+    [dedup] defaults to true. Each worker resumes its candidates from
+    checkpoints as {!run} does, with its own walks over its contiguous rank
+    ranges.
 
     [cache] — a persistent analysis cache plus the system's structural-hash
     key prefix: the quiescence certificate ({!Analysis.Prune.clean_from}, a

@@ -108,6 +108,37 @@ let degraded_agreement_check k exec =
   done;
   !worst
 
+(* The three safety checks run after every decide step of every chaos run,
+   so on a pass they scan the state's arrays in place and allocate nothing
+   (top-level loops, no closures). [Model.Properties] stays the reference;
+   a QCheck property pins these checks to it. *)
+
+(* Whether [v] is decided by some pid in [j, i). *)
+let rec decided_before (d : Ioa.Value.t option array) v j i =
+  j < i
+  && ((match d.(j) with Some w -> Ioa.Value.equal v w | None -> false)
+     || decided_before d v (j + 1) i)
+
+(* Distinct decided values, each counted at its lowest deciding pid. *)
+let rec count_distinct d i acc =
+  if i >= Array.length d then acc
+  else
+    match d.(i) with
+    | Some v when not (decided_before d v 0 i) -> count_distinct d (i + 1) (acc + 1)
+    | _ -> count_distinct d (i + 1) acc
+
+let rec is_input (inputs : Ioa.Value.t option array) v j =
+  j < Array.length inputs
+  && ((match inputs.(j) with Some w -> Ioa.Value.equal v w | None -> false)
+     || is_input inputs v (j + 1))
+
+let rec all_inputs (s : Model.State.t) i =
+  i >= Array.length s.Model.State.decisions
+  || (match s.Model.State.decisions.(i) with
+     | Some v -> is_input s.Model.State.inputs v 0
+     | None -> true)
+     && all_inputs s (i + 1)
+
 let agreement ?(k = 1) ?(degrade = false) () =
   {
     name = (if k = 1 then "agreement" else Printf.sprintf "%d-agreement" k);
@@ -116,7 +147,7 @@ let agreement ?(k = 1) ?(degrade = false) () =
     check =
       (fun _sys exec ->
         let s = Model.Exec.last_state exec in
-        if Model.Properties.agreement ~k s then Pass
+        if count_distinct s.Model.State.decisions 0 0 <= k then Pass
         else if degrade then (
           match degraded_agreement_check k exec with
           | None -> Pass
@@ -140,10 +171,14 @@ let validity =
     check =
       (fun _sys exec ->
         let s = Model.Exec.last_state exec in
-        if Model.Properties.validity s then Pass
+        if all_inputs s 0 then Pass
         else Fail (Format.asprintf "decided values %a not all inputs" pp_values (Model.State.decided_values s)));
   }
 
+(* Incremental: the execution before the newest step already passed, so
+   only a newest [Decide (i, v)] can break the property, and it does iff
+   [v] differs from the first decision of [i], which the system records in
+   [decisions.(i)] and never overwrites. *)
 let per_process_agreement =
   {
     name = "per-process agreement";
@@ -151,8 +186,13 @@ let per_process_agreement =
     relevant = on_decide;
     check =
       (fun _sys exec ->
-        if Model.Properties.per_process_agreement exec then Pass
-        else Fail "some process emitted two different decide events");
+        match exec.Model.Exec.rev_steps with
+        | { Model.Exec.event = Model.Event.Decide (i, v); state; _ } :: _ -> (
+          match state.Model.State.decisions.(i) with
+          | Some first when not (Ioa.Value.equal v first) ->
+            Fail "some process emitted two different decide events"
+          | _ -> Pass)
+        | _ -> Pass);
   }
 
 let f_termination =
@@ -377,20 +417,25 @@ let defaults ?k ?(degrade = false) () =
       linearizability ~degrade ();
     ]
 
+(* Allocation-free on the common path — no monitor of the phase applies,
+   or all pass — since the runner calls it after every task step. *)
+let rec check_from ms ~phase event sys exec fail truncs =
+  match ms with
+  | [] -> fail, truncs
+  | m :: rest ->
+    let applicable =
+      match m.phase, phase, event with
+      | Step, Step, Some e -> m.relevant e
+      | Step, Step, None | End, End, _ -> true
+      | Step, End, _ | End, Step, _ -> false
+    in
+    if not applicable then check_from rest ~phase event sys exec fail truncs
+    else (
+      match m.check sys exec with
+      | Pass -> check_from rest ~phase event sys exec fail truncs
+      | Fail why -> Some (m.name, why), truncs
+      | Truncated (cat, why) ->
+        check_from rest ~phase event sys exec fail (truncs @ [ m.name, cat, why ]))
+
 let check_phase monitors ~phase ?event sys exec =
-  let applicable m =
-    m.phase = phase
-    && match phase, event with Step, Some e -> m.relevant e | _ -> true
-  in
-  List.fold_left
-    (fun (fail, truncs) m ->
-      if not (applicable m) then fail, truncs
-      else
-        match fail with
-        | Some _ -> fail, truncs
-        | None -> (
-          match m.check sys exec with
-          | Pass -> fail, truncs
-          | Fail why -> Some (m.name, why), truncs
-          | Truncated (cat, why) -> fail, truncs @ [ m.name, cat, why ]))
-    (None, []) monitors
+  check_from monitors ~phase event sys exec None []

@@ -2,7 +2,9 @@
 
     Safety monitors ({!Step}) are evaluated after every step whose event is
     {!val-relevant} — for the consensus conditions that means decision
-    events, so monitoring is O(1) on non-deciding steps. Liveness monitors
+    events, so monitoring is O(1) on non-deciding steps. On decision steps
+    the three consensus checks cost O(n²) in the process count at most, not
+    in the execution's length, and allocate nothing when they pass. Liveness monitors
     ({!End}) are evaluated when the run ends: at a lasso (the verdict is
     then {e proven} — the detected cycle repeats forever) or at the step
     budget (bounded evidence only).
@@ -49,7 +51,11 @@ val validity : t
 (** Every decided value is some process's input, checked per step. *)
 
 val per_process_agreement : t
-(** No process decides two different values, checked per step. *)
+(** No process decides two different values, checked per step and
+    incrementally: the check judges only the execution's newest event, a
+    [Decide (i, v)], against the first decision of [i] recorded in the
+    state, and assumes the shorter prefix already passed — which holds when
+    it runs after every decide step, as the runner runs it. O(1). *)
 
 val f_termination : t
 (** Modified termination (§2.2.4): at the end of the run, every nonfaulty

@@ -36,92 +36,54 @@ let initialized sys inputs =
     inputs
   |> fst
 
-(* The fault-free round-robin prefix, shared across candidate schedules.
-
-   Every crash-only schedule under the silencing adversary behaves
-   identically until its first crash is delivered: no process has failed, so
-   no dummy action is enabled and the preference policy cannot bite
-   (§2.1.3), and the task order is the deterministic round-robin. [prefix]
-   walks that common execution once — with the same per-step safety-monitor
-   checks a real run performs — and snapshots every prefix, so {!run} can
-   resume a candidate at its first crash step instead of re-executing the
-   shared stem. Executions are immutable, so the snapshots alias one spine
-   and the whole cache is safe to share across domains read-only. *)
-type prefix = {
-  p_snaps : (Model.Exec.t * (string * Monitor.category * string) list) array;
-      (** [p_snaps.(k)]: the execution after [k] fault-free steps, with the
-          monitor truncations accumulated so far. *)
-  p_filled : int;  (** Snapshots [0..p_filled] are valid. *)
-  p_cut :
-    [ `Violation of
-      Model.Exec.t * int * string * string * (string * Monitor.category * string) list
-    | `Budget of Model.Exec.t * int * (string * Monitor.category * string) list ]
-    option;
-      (** Why the walk stopped before the requested depth, if it did: a
-          safety violation at the recorded step, or the step budget. A run
-          whose first crash lands at or past the cut ends identically. *)
+type checkpoint = {
+  cp_exec : Model.Exec.t;
+  cp_step : int;  (* The turn the run takes next. *)
+  cp_cursor : int;
+  cp_truncs : (string * Monitor.category * string) list;
+  cp_vacuous : int;
+  cp_rng : Random.State.t option;  (* A private copy, under [Seeded]. *)
+  cp_cut : (string * string) option;
+      (* A safety violation ended the walk: [cp_exec] is the violating
+         prefix and [cp_step] the run's step count. *)
 }
 
-let prefix ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?inputs ~steps
+(* The one step loop. Without [record] it is a monitored run; with
+   [record = (hi, push)] it walks the schedule with lasso detection and the
+   activation probe off, handing [push] a checkpoint at every turn up to
+   [hi] (and a cut checkpoint if a safety monitor fails first), then stops
+   without evaluating end-of-run monitors. *)
+let walk ~monitors ~max_steps ~interleave ~inputs ~on_active ~prefix ~record ~schedule
     (sys : Model.System.t) =
-  let inputs = match inputs with Some vs -> vs | None -> default_inputs sys in
-  let policy = Schedule.policy (Schedule.compile Schedule.empty sys) in
-  let tasks = sys.Model.System.tasks in
-  let n_tasks = Array.length tasks in
-  let steps = max 0 steps in
-  let snaps = Array.make (steps + 1) (Model.Exec.init (Model.System.initial_state sys), []) in
-  let rec walk exec truncs j =
-    snaps.(j) <- (exec, truncs);
-    if j >= steps then { p_snaps = snaps; p_filled = j; p_cut = None }
-    else if j >= max_steps then
-      { p_snaps = snaps; p_filled = j; p_cut = Some (`Budget (exec, j, truncs)) }
-    else
-      let task = tasks.(j mod n_tasks) in
-      match Model.Exec.append_task ~policy sys exec task with
-      | None -> walk exec truncs (j + 1)
-      | Some exec' -> (
-        let event =
-          match exec'.Model.Exec.rev_steps with
-          | s :: _ -> s.Model.Exec.event
-          | [] -> assert false
-        in
-        let fail, t = Monitor.check_phase monitors ~phase:Monitor.Step ~event sys exec' in
-        let truncs = truncs @ t in
-        match fail with
-        | Some (monitor, reason) ->
-          {
-            p_snaps = snaps;
-            p_filled = j;
-            p_cut = Some (`Violation (exec', j + 1, monitor, reason, truncs));
-          }
-        | None -> walk exec' truncs (j + 1))
-  in
-  walk (initialized sys inputs) [] 0
-
-(* A schedule may resume from the shared prefix only when its own prefix
-   provably coincides with it: deterministic task order, crashes only, the
-   same (silencing) adversary, no overrides. *)
-let resumable schedule =
-  schedule.Schedule.overrides = []
-  && schedule.Schedule.default_pref = Model.System.Prefer_dummy
-  && Schedule.n_crashes schedule = List.length schedule.Schedule.faults
-
-let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = Round_robin)
-    ?inputs ?on_active ?prefix ~schedule (sys : Model.System.t) =
-  let inputs = match inputs with Some vs -> vs | None -> default_inputs sys in
   let compiled = Schedule.compile schedule sys in
   let policy = Schedule.policy compiled in
   let tasks = sys.Model.System.tasks in
   let n_tasks = Array.length tasks in
-  let rng =
-    match interleave with
-    | Round_robin -> None
-    | Seeded seed -> Some (Random.State.make [| seed; 0x1A7E |])
+  let copy_rng rng = Option.map Random.State.copy rng in
+  let start =
+    match prefix with
+    | Some cp ->
+      Schedule.drop_before compiled ~step:cp.cp_step;
+      { cp with cp_rng = copy_rng cp.cp_rng }
+    | None ->
+      {
+        cp_exec = initialized sys inputs;
+        cp_step = 0;
+        cp_cursor = 0;
+        cp_truncs = [];
+        cp_vacuous = 0;
+        cp_rng =
+          (match interleave with
+          | Round_robin -> None
+          | Seeded seed -> Some (Random.State.make [| seed; 0x1A7E |]));
+        cp_cut = None;
+      }
   in
-  let cursor = ref 0 in
+  let rng = start.cp_rng in
+  let cursor = ref start.cp_cursor in
   let seen = Model.Lasso.create 256 in
-  let truncs = ref [] in
-  let vacuous = ref 0 in
+  let truncs = ref start.cp_truncs in
+  let vacuous = ref start.cp_vacuous in
   let finish exec steps stop =
     {
       exec;
@@ -131,6 +93,17 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
       undelivered_crashes = Schedule.undelivered compiled;
       undelivered_net = Schedule.undelivered_net compiled;
       vacuous_net_faults = !vacuous;
+    }
+  in
+  let snapshot exec step cut =
+    {
+      cp_exec = exec;
+      cp_step = step;
+      cp_cursor = !cursor;
+      cp_truncs = !truncs;
+      cp_vacuous = !vacuous;
+      cp_rng = copy_rng rng;
+      cp_cut = cut;
     }
   in
   (* End-of-run: evaluate the liveness monitors; [proven] records whether
@@ -145,29 +118,39 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
   in
   let probed = ref false in
   let rec go exec step =
-    if step >= max_steps then ended exec step ~proven:false Budget
-    else begin
-      let active =
-        (* Once fully active the schedule is memoryless (no pending crash,
-           no future silence activation): under the deterministic task order
-           the continuation is a function of (cursor, state) alone. *)
-        match interleave with
-        | Round_robin -> Schedule.fully_active compiled ~step
-        | Seeded _ -> false
-      in
-      let prune =
-        (* The one-shot activation probe: the explorer fingerprints the
-           configuration here and may inherit a previously proven verdict. *)
-        if active && not !probed then begin
-          probed := true;
-          match on_active with
-          | Some probe -> probe ~step ~cursor:(!cursor mod n_tasks) exec = `Prune
-          | None -> false
-        end
-        else false
-      in
-      if prune then finish exec step Pruned
-      else
+    match record with
+    | Some (hi, push) ->
+      push (snapshot exec step None);
+      (* A recording walk stops at its horizon, and at the step budget: a
+         run resumed from that checkpoint ends exactly as one that walked
+         on would. *)
+      if step >= hi || step >= max_steps then finish exec step Budget else turn exec step
+    | None ->
+      if step >= max_steps then ended exec step ~proven:false Budget else turn exec step
+  and turn exec step =
+    let active =
+      (* Once fully active the schedule is memoryless (no pending crash, no
+         future silence activation): under the deterministic task order the
+         continuation is a function of (cursor, state) alone. A recording
+         walk never looks: the runs it serves are not active before they
+         diverge from it. *)
+      match interleave, record with
+      | Round_robin, None -> Schedule.fully_active compiled ~step
+      | Seeded _, _ | Round_robin, Some _ -> false
+    in
+    let prune =
+      (* The one-shot activation probe: the explorer fingerprints the
+         configuration here and may inherit a previously proven verdict. *)
+      if active && not !probed then begin
+        probed := true;
+        match on_active with
+        | Some probe -> probe ~step ~cursor:(!cursor mod n_tasks) exec = `Prune
+        | None -> false
+      end
+      else false
+    in
+    if prune then finish exec step Pruned
+    else
       let lasso =
         (* (cursor, state) repetition proves a cycle only once the schedule
            is memoryless and the task order is deterministic. *)
@@ -208,52 +191,75 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
                regains its turn after the heal. *)
             go exec (step + 1)
           else
-          match Model.Exec.append_task ~policy sys exec task with
-          | None -> go exec (step + 1)
-          | Some exec' -> (
-            let event =
-              match exec'.Model.Exec.rev_steps with
-              | s :: _ -> s.Model.Exec.event
-              | [] -> assert false
-            in
-            let fail, t =
-              Monitor.check_phase monitors ~phase:Monitor.Step ~event sys exec'
-            in
-            truncs := !truncs @ t;
-            match fail with
-            | Some (monitor, reason) ->
-              (* A safety violation is witnessed by the prefix itself. *)
-              finish exec' (step + 1) (Violation { monitor; reason; proven = true })
-            | None -> go exec' (step + 1))))
-    end
+            match Model.Exec.append_task ~policy sys exec task with
+            | None -> go exec (step + 1)
+            | Some exec' -> (
+              let event =
+                match exec'.Model.Exec.rev_steps with
+                | s :: _ -> s.Model.Exec.event
+                | [] -> assert false
+              in
+              let fail, t =
+                Monitor.check_phase monitors ~phase:Monitor.Step ~event sys exec'
+              in
+              if t <> [] then truncs := !truncs @ t;
+              match fail with
+              | Some (monitor, reason) ->
+                (* A safety violation is witnessed by the prefix itself. *)
+                (match record with
+                | Some (_, push) ->
+                  push (snapshot exec' (step + 1) (Some (monitor, reason)))
+                | None -> ());
+                finish exec' (step + 1) (Violation { monitor; reason; proven = true })
+              | None -> go exec' (step + 1))))
   in
-  let resume =
-    (* Resume from the shared fault-free prefix at the first crash step,
-       when the schedule's own prefix provably coincides with it. *)
-    match prefix, interleave with
-    | Some p, Round_robin when resumable schedule -> (
-      match Schedule.crashes schedule with
-      | [] -> None
-      | (s, _) :: _ -> Some (p, s))
-    | _ -> None
+  match start.cp_cut with
+  | Some (monitor, reason) ->
+    (* The checkpoint's walk ended at a safety violation before this run
+       could diverge from it: this run ends exactly there. *)
+    (match record with Some (_, push) -> push start | None -> ());
+    finish start.cp_exec start.cp_step (Violation { monitor; reason; proven = true })
+  | None -> go start.cp_exec start.cp_step
+
+let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = Round_robin)
+    ?inputs ?on_active ?prefix ~schedule (sys : Model.System.t) =
+  let inputs = match inputs with Some vs -> vs | None -> default_inputs sys in
+  walk ~monitors ~max_steps ~interleave ~inputs ~on_active ~prefix ~record:None ~schedule
+    sys
+
+type stem = {
+  from : int;
+  mutable cps : checkpoint array;  (* [cps.(i)] is the checkpoint at step [from + i]. *)
+  walk_on : checkpoint option -> int -> checkpoint array;
+  limit : int;  (* The step budget. *)
+}
+
+let stem ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = Round_robin)
+    ?inputs ?prefix ~schedule ~upto (sys : Model.System.t) =
+  let inputs = match inputs with Some vs -> vs | None -> default_inputs sys in
+  let walk_on prefix hi =
+    let acc = ref [] in
+    ignore
+      (walk ~monitors ~max_steps ~interleave ~inputs ~on_active:None ~prefix
+         ~record:(Some (hi, fun cp -> acc := cp :: !acc))
+         ~schedule sys);
+    Array.of_list (List.rev !acc)
   in
-  match resume with
-  | None -> go (initialized sys inputs) 0
-  | Some (p, s) -> (
-    match p.p_cut with
-    | Some (`Violation (exec, v, monitor, reason, tr)) when s >= v ->
-      (* The shared prefix violates safety before the first crash can land:
-         this run ends exactly there. *)
-      truncs := tr;
-      finish exec v (Violation { monitor; reason; proven = true })
-    | Some (`Budget (exec, b, tr)) when s >= b ->
-      truncs := tr;
-      ended exec b ~proven:false Budget
-    | _ ->
-      let k = min s p.p_filled in
-      let exec, tr = p.p_snaps.(k) in
-      truncs := tr;
-      (* [cursor = step] through a fault-free prefix: crash deliveries are
-         the only turns that do not consume a task. *)
-      cursor := k;
-      go exec k)
+  let from = match prefix with Some cp -> cp.cp_step | None -> 0 in
+  { from; cps = walk_on prefix (max from upto); walk_on; limit = max_steps }
+
+let rec at t step =
+  if step < t.from then invalid_arg "Chaos.Runner.at: step before the stem's start";
+  let n = Array.length t.cps in
+  let last = t.cps.(n - 1) in
+  if step - t.from < n then t.cps.(step - t.from)
+  else if last.cp_cut <> None || last.cp_step >= t.limit then
+    (* A run that reaches the cut or the step budget before it diverges
+       ends there exactly as the walk did. *)
+    last
+  else begin
+    (* Walk on from the newest checkpoint, at least doubling the range. *)
+    let more = t.walk_on (Some last) (max step (last.cp_step + n)) in
+    t.cps <- Array.append t.cps (Array.sub more 1 (Array.length more - 1));
+    at t step
+  end

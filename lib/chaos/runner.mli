@@ -45,29 +45,55 @@ val pp_stop : Format.formatter -> stop -> unit
 val default_inputs : Model.System.t -> Ioa.Value.t list
 (** Binary inputs [i mod 2], the staircase convention used elsewhere. *)
 
-type prefix
-(** The shared fault-free round-robin prefix of an exploration: every
-    crash-only candidate under the silencing adversary behaves identically
-    until its first crash is delivered (no failures, so no dummy action is
-    enabled and the preference policy cannot bite, §2.1.3). Built once with
-    {!val-prefix} and passed to {!run}, which then resumes each candidate at
-    its first crash step instead of re-executing the common stem. Immutable
-    after construction; safe to share across domains. *)
+(** {1 Checkpoints}
 
-val prefix :
+    The runner is deterministic and executions are immutable, so a run can
+    be resumed from a snapshot of another run that makes the same turns up
+    to that point. The chaos explorer uses this to run each fault schedule
+    from a checkpoint of its {!Schedule.parent} at the step where the two
+    diverge, instead of replaying the shared prefix from the initial state
+    (DESIGN.md §3.16). *)
+
+type checkpoint
+(** A run paused before a turn: the execution so far, the step and
+    round-robin cursor, the monitor truncations and vacuous-fault count
+    accumulated so far and, under [Seeded], a private copy of the task-order
+    generator. It holds no lasso table: the runs it serves are not
+    {!Schedule.fully_active} before they diverge from it, so their tables
+    are still empty there. It holds no monitor state either: the monitors
+    read only the immutable execution. A checkpoint may also be a {e cut}:
+    a safety monitor failed before the step, and every run resumed from it
+    ends with that violation. Immutable; safe to share across domains. *)
+
+type stem
+(** The checkpoints of one schedule's walk over a range of steps, taken with
+    lasso detection and the [on_active] probe off and without end-of-run
+    monitors. The range grows on demand ({!at}). Not safe to share across
+    domains. *)
+
+val stem :
   ?monitors:Monitor.t list ->
   ?max_steps:int ->
+  ?interleave:interleave ->
   ?inputs:Ioa.Value.t list ->
-  steps:int ->
+  ?prefix:checkpoint ->
+  schedule:Schedule.t ->
+  upto:int ->
   Model.System.t ->
-  prefix
-(** Walk the fault-free round-robin execution up to [steps] steps,
-    performing the same per-step safety-monitor checks as {!run} and
-    snapshotting every prefix. The walk stops early at a safety violation or
-    at [max_steps]; runs whose first crash lands at or past the stop end
-    identically and inherit the recorded outcome. Must be built with the
-    same [monitors], [max_steps] and [inputs] the runs it serves use —
-    resuming is unsound otherwise. *)
+  stem
+(** Walk [schedule] from [prefix] (default: the initial state), recording a
+    checkpoint at every step from the prefix's step through [upto]. The
+    walk stops early at a safety violation, whose cut then answers every
+    later step, and at [max_steps]. [prefix] must come from a walk of a
+    schedule that makes the same turns as [schedule] before its step (its
+    {!Schedule.parent} chain), and [monitors], [max_steps], [interleave]
+    and [inputs] must be those of the runs the stem serves — resuming is
+    unsound otherwise. *)
+
+val at : stem -> int -> checkpoint
+(** [at stem d] is the checkpoint at step [d], or the cut if the walk ended
+    at a violation first; walks on if [d] lies past the recorded range.
+    Raises [Invalid_argument] before the stem's first step. *)
 
 val run :
   ?monitors:Monitor.t list ->
@@ -75,7 +101,7 @@ val run :
   ?interleave:interleave ->
   ?inputs:Ioa.Value.t list ->
   ?on_active:(step:int -> cursor:int -> Model.Exec.t -> [ `Continue | `Prune ]) ->
-  ?prefix:prefix ->
+  ?prefix:checkpoint ->
   schedule:Schedule.t ->
   Model.System.t ->
   result
@@ -92,7 +118,12 @@ val run :
     interleaving. Without the argument, behaviour is byte-identical to the
     probe-free runner.
 
-    [prefix] is consulted only under [Round_robin], and only for schedules
-    whose own prefix provably coincides with the shared one (crashes only,
-    silencing adversary, no overrides); it changes the cost, never the
-    result. *)
+    [prefix] resumes the run from a checkpoint instead of the initial state:
+    the compiled schedule is driven through the checkpoint's earlier turns
+    ({!Schedule.drop_before}), and the run goes on from there with a fresh
+    lasso table. When the checkpoint was taken on a walk of a schedule that
+    makes the same turns as [schedule] before it ({!Schedule.parent}), with
+    the same [monitors], [max_steps], [interleave] and [inputs], the result
+    — steps, stop, truncations, every counter and the whole execution — is
+    the one the run from the initial state gives; a cut checkpoint ends the
+    run at its violation. *)

@@ -369,6 +369,41 @@ let validate sys t =
     (fun acc fault -> Result.bind acc (fun () -> check fault))
     (Ok ()) t.faults
 
+(* The fault whose first effect comes last, and that effect's step. Faults
+   are tagged onto the deliveries in [deliveries]'s order and spread one per
+   turn exactly as [due] pops them; a silence's effect is its activation. *)
+let parent t =
+  match t.faults with
+  | [] -> None
+  | faults ->
+    let tagged =
+      List.concat
+        (List.mapi
+           (fun fi f ->
+             match f with
+             | Crash { step; _ }
+             | Drop { step; _ }
+             | Duplicate { step; _ }
+             | Delay { step; _ } -> [ step, fi, true ]
+             | Partition { step; heal_at; _ } -> [ step, fi, true; heal_at, fi, false ]
+             | Silence _ -> [])
+           faults)
+      |> List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+    in
+    let effect =
+      Array.of_list (List.map (function Silence { step; _ } -> step | _ -> -1) faults)
+    in
+    ignore
+      (List.fold_left
+         (fun prev (at, fi, first) ->
+           let d = max at (prev + 1) in
+           if first then effect.(fi) <- d;
+           d)
+         (-1) tagged);
+    let last = ref 0 in
+    Array.iteri (fun fi d -> if d >= effect.(!last) then last := fi) effect;
+    Some ({ t with faults = List.filteri (fun fi _ -> fi <> !last) faults }, effect.(!last))
+
 type delivery =
   | Deliver_fail of int
   | Deliver_net of { service : string; endpoint : int; kind : Model.Event.net_kind }
@@ -444,6 +479,11 @@ let due c ~step =
     c.pending := rest;
     Some d
   | _ -> None
+
+let drop_before c ~step =
+  for s = 0 to step - 1 do
+    ignore (due c ~step:s)
+  done
 
 let exhausted c = !(c.pending) = []
 

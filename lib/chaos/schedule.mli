@@ -78,6 +78,9 @@ val make :
 val empty : t
 val equal : t -> t -> bool
 
+val fault_step : fault -> int
+(** The step a fault is placed at (a partition's onset). *)
+
 val compare_fault : fault -> fault -> int
 (** Kind-ranked: crashes < silences < drops < duplicates < delays <
     partitions; within a kind, by step then payload. The shrinker walks
@@ -134,6 +137,17 @@ val validate : Model.System.t -> t -> (unit, string) result
     belong to their service, delay lags are ≥ 1, and partition blocks are
     nonempty, disjoint, in range, and heal after they start. *)
 
+val parent : t -> (t * int) option
+(** [parent s] is [Some (p, d)] for a schedule with faults: [p] is [s]
+    without the fault whose first effect comes last, and [d] is the step of
+    that effect — the fault's first delivery, counted after deliveries that
+    share a step are spread one per turn as {!due} hands them out, or a
+    silence's activation step. Runs of [s] and of [p] make the same turns
+    on the steps [0, d): the same deliveries at the same steps, the same
+    policy, and the same partition blocking on every task turn (the steps
+    between the fault's nominal step and [d] are all delivery turns). The
+    chaos explorer resumes [s] from a checkpoint of [p] at [d]. *)
+
 (** {1 Compilation} *)
 
 type delivery =
@@ -163,6 +177,11 @@ val due : compiled -> step:int -> delivery option
 (** The delivery for this scheduling turn, if any (consumes it). Also
     advances the schedule's clock, activating silences and partition
     intervals. Call once per turn. *)
+
+val drop_before : compiled -> step:int -> unit
+(** Drive the clock through the turns [0, step), discarding the deliveries
+    due there: the state a run leaves the compiled schedule in when it
+    reaches [step]. For resuming a run from a checkpoint. *)
 
 val exhausted : compiled -> bool
 (** All deliveries (crashes, net faults, heals) delivered. *)

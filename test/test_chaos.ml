@@ -197,6 +197,98 @@ let test_undelivered_crashes_reported () =
   let r = Chaos.Runner.run ~schedule ~max_steps:200 sys in
   Alcotest.(check int) "undelivered" 1 r.Chaos.Runner.undelivered_crashes
 
+(* --- The O(1) safety checks against Model.Properties ---
+
+   Random executions of decide and init steps over a small value domain (so
+   agreement, validity and per-process agreement all break often). The
+   state-based checks must agree with the reference at every decide step;
+   the incremental per-process check, run after every decide step as the
+   runner runs it, must fail first exactly where the reference first
+   fails. *)
+
+let qcheck_safety_monitors_match_reference =
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 1 4 in
+      let* k = int_range 1 2 in
+      let* inputs = list_repeat n (opt ~ratio:0.7 (int_bound 2)) in
+      let* events =
+        list_size (int_bound 12)
+          (pair bool (pair (int_bound (n - 1)) (int_bound 3)))
+      in
+      return (n, k, inputs, events))
+  in
+  let print (n, k, inputs, events) =
+    Printf.sprintf "n=%d k=%d inputs=[%s] events=[%s]" n k
+      (String.concat ";"
+         (List.map (function Some v -> string_of_int v | None -> "-") inputs))
+      (String.concat ";"
+         (List.map
+            (fun (dec, (i, v)) -> Printf.sprintf "%s%d:%d" (if dec then "D" else "I") i v)
+            events))
+  in
+  QCheck2.Test.make ~name:"safety monitors agree with Model.Properties" ~count:500 ~print
+    gen
+    (fun (n, k, inputs, events) ->
+      let sys = Protocols.Direct.system ~n ~f:0 in
+      let s0 =
+        List.fold_left
+          (fun (s, i) v ->
+            ( (match v with
+              | Some v -> Model.State.with_input s i (Ioa.Value.int v)
+              | None -> s),
+              i + 1 ))
+          (Model.System.initial_state sys, 0)
+          inputs
+        |> fst
+      in
+      let step (exec : Model.Exec.t) (dec, (i, v)) =
+        let v = Ioa.Value.int v and s = Model.Exec.last_state exec in
+        let label, event, state =
+          if dec then
+            ( Model.Exec.L_task (Model.Task.Proc i),
+              Model.Event.Decide (i, v),
+              (* The system records only a process's first decision. *)
+              match s.Model.State.decisions.(i) with
+              | None -> Model.State.with_decision s i v
+              | Some _ -> s )
+          else
+            Model.Exec.L_init (i, v), Model.Event.Init (i, v), Model.State.with_input s i v
+        in
+        {
+          exec with
+          Model.Exec.rev_steps =
+            { Model.Exec.label; event; state } :: exec.Model.Exec.rev_steps;
+        }
+      in
+      let passes (m : Chaos.Monitor.t) exec =
+        match m.Chaos.Monitor.check sys exec with Chaos.Monitor.Pass -> true | _ -> false
+      in
+      let agreement = Chaos.Monitor.agreement ~k () in
+      let ok = ref true and ppa_failed = ref false in
+      ignore
+        (List.fold_left
+           (fun exec ev ->
+             let exec = step exec ev in
+             let s = Model.Exec.last_state exec in
+             if fst ev then begin
+               if passes agreement exec <> Model.Properties.agreement ~k s then ok := false;
+               if passes Chaos.Monitor.validity exec <> Model.Properties.validity s then
+                 ok := false;
+               (* Once the reference fails it stays failed; the incremental
+                  check must have failed at that same first step. *)
+               if not !ppa_failed then begin
+                 let reference = Model.Properties.per_process_agreement exec in
+                 if passes Chaos.Monitor.per_process_agreement exec <> reference then
+                   ok := false;
+                 if not reference then ppa_failed := true
+               end
+             end;
+             exec)
+           (Model.Exec.init s0) events);
+      !ok)
+  |> QCheck_alcotest.to_alcotest
+
 let suite =
   ( "chaos",
     [
@@ -217,4 +309,5 @@ let suite =
         test_monitor_linearizability_truncates;
       Alcotest.test_case "monitors pass failure-free" `Quick test_monitor_linearizability_passes;
       Alcotest.test_case "undelivered crashes counted" `Quick test_undelivered_crashes_reported;
+      qcheck_safety_monitors_match_reference;
     ] )
